@@ -1,5 +1,7 @@
 """Pose and shape recovery from confidence-weighted 2D semantic keypoints."""
 
+import logging
+
 from .bench import (
     ErrorReport,
     NoiseModel,
@@ -65,3 +67,6 @@ from .wp_solver import (
 )
 
 __version__ = "0.1.0"
+
+# solvers warn on the "kpfit" logger; the application decides where that goes
+logging.getLogger(__name__).addHandler(logging.NullHandler())

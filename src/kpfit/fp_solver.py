@@ -2,12 +2,22 @@
 
 Minimizes the weighted cost with the ray residual W~ Z - R S - T 1^T, where
 W~ holds normalized homogeneous keypoint coordinates and Z per-point depths.
-Every block (Z, joint R/T, c) has a closed-form update; the solve is
-initialized from the weak-perspective solution.
+Each iteration runs two closed-form blocks, so the cost never increases:
+
+- Block A fixes R. The residual is then linear in (Z, T, c) jointly, and
+  eliminating each depth leaves the object-space projector
+  I - v v^T / |v|^2 of its ray (Lu, Hager & Mjolsness, TPAMI 2000). T and c
+  solve one (3+k)x(3+k) ridge system; each depth becomes the ray projection of
+  its model point, clamped to a positive floor.
+- Block B fixes Z and c and solves R and T by weighted Procrustes about the
+  weighted centroids.
+
+The solve is initialized from the weak-perspective solution.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +29,8 @@ from .shape_basis import compose_shape
 from .wp_solver import SolverOptions, default_lambda, solve_wp, _cleaned_w
 
 DEPTH_FLOOR_FACTOR = 1e-6
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -42,16 +54,26 @@ class FPEstimate:
         self.depths = np.asarray(self.depths, dtype=float).reshape(-1)
 
 
+def _ray_cost(wt, d, rotation, translation, shape, c, depths, lam):
+    """cost_fp on cleaned, normalized keypoints and an already composed shape."""
+    resid = wt * depths - rotation @ shape - translation[:, None]
+    return float(
+        0.5 * np.sum(d * np.sum(resid**2, axis=0)) + 0.5 * lam * np.sum(c**2)
+    )
+
+
 def cost_fp(obs, intrinsics, basis, rotation, translation, c, depths, lam):
     """Weighted ray-residual cost with Tikhonov penalty on c."""
     c = np.asarray(c, dtype=float).reshape(-1)
-    shape = compose_shape(basis, c)
-    wt = normalize_keypoints(_cleaned_w(obs), intrinsics)
-    translation = np.asarray(translation, dtype=float).reshape(3)
-    depths = np.asarray(depths, dtype=float).reshape(-1)
-    resid = wt * depths - np.asarray(rotation, dtype=float) @ shape - translation[:, None]
-    return float(
-        0.5 * np.sum(obs.d * np.sum(resid**2, axis=0)) + 0.5 * lam * np.sum(c**2)
+    return _ray_cost(
+        normalize_keypoints(_cleaned_w(obs), intrinsics),
+        obs.d,
+        np.asarray(rotation, dtype=float),
+        np.asarray(translation, dtype=float).reshape(3),
+        compose_shape(basis, c),
+        c,
+        np.asarray(depths, dtype=float).reshape(-1),
+        lam,
     )
 
 
@@ -114,6 +136,9 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
 
     ``init`` may be a (rotation, translation) pair; otherwise the solver runs
     the weak-perspective solver on normalized coordinates to initialize.
+    ``converged`` is True when the relative cost decrease fell below the
+    tolerance, False when the fit stopped at ``max_iterations``; an
+    ill-posed problem is reported in ``diagnostic``.
     """
     opts = opts or SolverOptions()
     d = np.asarray(obs.d, dtype=float)
@@ -130,7 +155,33 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     wt = normalize_keypoints(w, intrinsics)
     wt_sq = np.sum(wt**2, axis=0)
     dsum = d.sum()
-    k = basis.num_modes
+    k, p = basis.num_modes, basis.num_keypoints
+    modes = np.asarray(basis.modes, dtype=float).reshape(k, 3, p)
+    # d_i (I - v_i v_i^T / |v_i|^2): the weighted object-space projector of ray i
+    dproj = d[:, None, None] * (
+        np.eye(3) - np.einsum("ap,bp->pab", wt, wt) / wt_sq[:, None, None]
+    )
+    dident = d[:, None, None] * np.eye(3)
+    ridge = np.diag(np.concatenate([np.zeros(3), np.full(k, lam)]))
+    # per-point design A_i = [I, R m_1i ... R m_ki] acting on (T, c)
+    design = np.zeros((p, 3, 3 + k))
+    design[:, :, :3] = np.eye(3)
+
+    def block_a(rotation, weights, depths):
+        """(T, c) minimizing sum_i |P_i (v_i z_i - R s_i - T)|^2 d_i + lam |c|^2
+        for the given stack d_i P_i, then each depth as its clamped ray
+        projection. With P_i the ray projector the depths drop out."""
+        design[:, :, 3:] = np.einsum("ab,jbp->paj", rotation, modes)
+        wa = weights @ design
+        gram = np.einsum("pai,paj->ij", design, wa) + ridge
+        rhs = np.einsum("pai,ap->i", wa, wt * depths - rotation @ basis.b0)
+        x = np.linalg.solve(gram, rhs)
+        t, cc = x[:3], x[3:]
+        shape = compose_shape(basis, cc)
+        floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(t), 1e-12)
+        z = np.sum(wt * (rotation @ shape + t[:, None]), axis=0) / wt_sq
+        z = np.maximum(z, floor)
+        return t, cc, shape, z, _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
 
     if init is not None:
         rotation, translation = init
@@ -143,58 +194,49 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         rotation, translation = wp_to_fp_init(wp)
         c = wp.c.copy()
 
-    def cost(rot, t, cc, z):
-        resid = wt * z - rot @ compose_shape(basis, cc) - t[:, None]
-        return float(
-            0.5 * np.sum(d * np.sum(resid**2, axis=0)) + 0.5 * lam * np.sum(cc**2)
-        )
-
     shape = compose_shape(basis, c)
     depths = np.sum(wt * (rotation @ shape + translation[:, None]), axis=0) / wt_sq
-
-    block_costs = (
-        [cost(rotation, translation, c, depths)] if opts.record_block_costs else None
-    )
-    current = cost(rotation, translation, c, depths)
+    current = _ray_cost(wt, d, rotation, translation, shape, c, depths, lam)
+    block_costs = [current] if opts.record_block_costs else None
     iterations = 0
     converged = False
 
-    def record():
-        if block_costs is not None:
-            block_costs.append(cost(rotation, translation, c, depths))
-
     for iterations in range(1, opts.max_iterations + 1):
         prev = current
-        shape = compose_shape(basis, c)
 
-        # depth block: per-point closed form, clamped to a positive floor
-        floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(translation), 1e-12)
-        depths = np.sum(wt * (rotation @ shape + translation[:, None]), axis=0) / wt_sq
-        depths = np.maximum(depths, floor)
-        record()
+        # block A: (T, c) with the depths eliminated, then the depths. The
+        # elimination assumes unconstrained depths; if clamping one at the
+        # floor makes the step raise the cost, solve (T, c) for the current
+        # depths instead, which is an exact block minimizer
+        step = block_a(rotation, dproj, depths)
+        if step[-1] > current:
+            step = block_a(rotation, dident, depths)
+        translation, c, shape, depths, current = step
+        if block_costs is not None:
+            block_costs.append(current)
 
-        # joint rotation/translation block: weighted Procrustes about the
-        # weighted centroids, then the exact translation
+        # block B: weighted Procrustes about the weighted centroids, then the
+        # exact translation
         target = wt * depths
         xbar = target @ d / dsum
         sbar = shape @ d / dsum
         rotation = weighted_procrustes(target - xbar[:, None], shape - sbar[:, None], d)
         translation = xbar - rotation @ sbar
-        record()
+        current = _ray_cost(wt, d, rotation, translation, shape, c, depths, lam)
+        if block_costs is not None:
+            block_costs.append(current)
 
-        # coefficient block: weighted ridge least squares
-        if k > 0:
-            pmodes = np.stack([rotation @ mode for mode in basis.modes])  # k x 3 x p
-            r0 = target - rotation @ basis.b0 - translation[:, None]
-            gram = np.einsum("p,jap,lap->jl", d, pmodes, pmodes)
-            rhs = np.einsum("p,jap,ap->j", d, pmodes, r0)
-            c = np.linalg.solve(gram + lam * np.eye(k), rhs)
-            record()
-
-        current = cost(rotation, translation, c, depths)
         if prev - current < opts.relative_tolerance * max(prev, 1e-300):
             converged = True
             break
+
+    if not converged:
+        logger.warning(
+            "solve_fp stopped at max_iterations=%d before the relative cost "
+            "decrease fell below %g",
+            opts.max_iterations,
+            opts.relative_tolerance,
+        )
 
     floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(translation), 1e-12)
     clamped = (d > 0.0) & (depths <= floor * (1.0 + 1e-9))
@@ -204,8 +246,6 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
             "positivity floor at convergence"
         )
 
-    if diagnostic:
-        converged = False
     return FPEstimate(
         rotation=rotation,
         translation=translation,

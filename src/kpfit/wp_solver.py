@@ -8,6 +8,7 @@ regularizer.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,8 @@ import numpy as np
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
 from .geometry import hat, lift_stiefel, weighted_procrustes
 from .shape_basis import compose_shape
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -330,4 +333,11 @@ def solve_wp(obs, basis, opts=None):
                 best.rbar[0], best.rbar[1]
             )[2]:
                 best = other
+    if not best.converged:
+        logger.warning(
+            "solve_wp stopped at max_iterations=%d before the relative cost "
+            "decrease fell below %g",
+            opts.max_iterations,
+            opts.relative_tolerance,
+        )
     return best

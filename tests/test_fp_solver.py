@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,26 @@ class TestSolveFp:
             costs = np.array(est.block_costs)
             assert np.all(np.diff(costs) <= 1e-10)
 
+    def test_clamped_depths_keep_descent_monotone(self, basis, intrinsics):
+        # a confident keypoint far off its projection clamps depths at the
+        # floor during the descent; the fit must still descend monotonically
+        # to a minimizer with every depth in front of the camera
+        shape = compose_shape(basis, np.zeros(2))
+        points = shape + np.array([0.0, 0.0, 8.0 * basis.diameter()])[:, None]
+        pixels = intrinsics.project(points)
+        pixels[:, 0] = [intrinsics.cx - 5.0 * intrinsics.fx, intrinsics.cy]
+        d = np.ones(12)
+        d[0] = 50.0
+        est = solve_fp(
+            KeypointObservations(pixels, d),
+            intrinsics,
+            basis,
+            SolverOptions(record_block_costs=True),
+        )
+        assert est.converged
+        assert np.all(est.depths > 0.0)
+        assert np.all(np.diff(est.block_costs) <= 1e-10)
+
     def test_explicit_init_is_used(self, basis, intrinsics):
         c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 13)
         obs = KeypointObservations(pixels, np.ones(basis.num_keypoints))
@@ -294,8 +316,7 @@ class TestSolveFp:
         pixels = intrinsics.project(rotation @ b0 + translation[:, None])
         obs = KeypointObservations(pixels, np.ones(10))
         est = solve_fp(obs, intrinsics, flat, NOISELESS)
-        assert not est.converged
-        assert est.diagnostic != ""
+        assert "coplanar" in est.diagnostic
 
     def test_too_few_points(self, basis, intrinsics):
         c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 16)
@@ -305,14 +326,19 @@ class TestSolveFp:
             solve_fp(KeypointObservations(pixels, d), intrinsics, basis)
 
     def test_behind_camera_raises(self, basis, intrinsics):
-        # an initialization behind the camera pins depths at the floor
+        # a confident keypoint whose ray points away from its model point
+        # (v . q < 0) pulls the fit onto the camera centre, where depths pin
+        # at the positivity floor
         shape = compose_shape(basis, np.zeros(2))
-        translation = np.array([0.0, 0.0, 8.0 * basis.diameter()])
-        pixels = intrinsics.project(shape + translation[:, None])
-        obs = KeypointObservations(pixels, np.ones(12))
-        bad_init = (np.eye(3), np.array([0.0, 0.0, -8.0 * basis.diameter()]))
+        points = shape + np.array([0.0, 0.0, 8.0 * basis.diameter()])[:, None]
+        pixels = intrinsics.project(points)
+        pixels[:, 0] = [intrinsics.cx - 100.0 * intrinsics.fx, intrinsics.cy]
+        ray = normalize_keypoints(pixels, intrinsics)[:, 0]
+        assert ray @ points[:, 0] < 0.0
+        d = np.ones(12)
+        d[0] = 5.0
         with pytest.raises(BehindCameraError):
-            solve_fp(obs, intrinsics, basis, SolverOptions(max_iterations=3), init=bad_init)
+            solve_fp(KeypointObservations(pixels, d), intrinsics, basis)
 
     def test_final_cost_consistent(self, basis, intrinsics):
         rng = np.random.default_rng(17)
@@ -325,3 +351,27 @@ class TestSolveFp:
             obs, intrinsics, basis, est.rotation, est.translation, est.c, est.depths, 0.05
         )
         assert est.final_cost == pytest.approx(recomputed, rel=1e-10)
+
+
+class TestLogging:
+    @pytest.mark.parametrize("solver", ["wp", "fp"])
+    def test_capped_fit_warns_once(self, basis, intrinsics, caplog, solver):
+        c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 19)
+        obs = KeypointObservations(pixels, np.ones(basis.num_keypoints))
+        capped = SolverOptions(max_iterations=1)
+        with caplog.at_level(logging.WARNING, logger="kpfit"):
+            if solver == "wp":
+                est = solve_wp(obs, basis, capped)
+            else:
+                est = solve_fp(obs, intrinsics, basis, capped, init=(rotation, translation))
+        assert not est.converged
+        assert len(caplog.records) == 1
+        assert "max_iterations=1" in caplog.records[0].getMessage()
+
+    def test_converged_fit_is_silent(self, basis, intrinsics, caplog):
+        c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 19)
+        obs = KeypointObservations(pixels, np.ones(basis.num_keypoints))
+        with caplog.at_level(logging.WARNING, logger="kpfit"):
+            est = solve_fp(obs, intrinsics, basis)
+        assert est.converged
+        assert caplog.records == []
