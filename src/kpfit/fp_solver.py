@@ -170,7 +170,8 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     def block_a(rotation, weights, depths):
         """(T, c) minimizing sum_i |P_i (v_i z_i - R s_i - T)|^2 d_i + lam |c|^2
         for the given stack d_i P_i, then each depth as its clamped ray
-        projection. With P_i the ray projector the depths drop out."""
+        projection, and which depths the floor pinned. With P_i the ray
+        projector the depths drop out."""
         design[:, :, 3:] = np.einsum("ab,jbp->paj", rotation, modes)
         wa = weights @ design
         gram = np.einsum("pai,paj->ij", design, wa) + ridge
@@ -180,8 +181,10 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         shape = compose_shape(basis, cc)
         floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(t), 1e-12)
         z = np.sum(wt * (rotation @ shape + t[:, None]), axis=0) / wt_sq
+        pinned = z <= floor
         z = np.maximum(z, floor)
-        return t, cc, shape, z, _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
+        cost = _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
+        return t, cc, shape, z, pinned, cost
 
     if init is not None:
         rotation, translation = init
@@ -211,7 +214,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         step = block_a(rotation, dproj, depths)
         if step[-1] > current:
             step = block_a(rotation, dident, depths)
-        translation, c, shape, depths, current = step
+        translation, c, shape, depths, pinned, current = step
         if block_costs is not None:
             block_costs.append(current)
 
@@ -238,8 +241,8 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
             opts.relative_tolerance,
         )
 
-    floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(translation), 1e-12)
-    clamped = (d > 0.0) & (depths <= floor * (1.0 + 1e-9))
+    # block B leaves the depths as the last block A set them
+    clamped = (d > 0.0) & pinned
     if np.any(clamped):
         raise BehindCameraError(
             f"{int(np.count_nonzero(clamped))} keypoint depth(s) pinned at the "

@@ -143,7 +143,15 @@ def weighted_procrustes(a, b, w):
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(w > 0.0) < 3:
         raise DegenerateGeometryError("need at least 3 positively weighted points")
-    cross_cov = (a * w) @ b.T
+    return rotation_from_cross_covariance((a * w) @ b.T)
+
+
+def rotation_from_cross_covariance(cross_cov):
+    """Rotation R maximizing tr(R^T C) for a 3x3 cross-covariance C.
+
+    This is the Procrustes rotation for C = sum_i w_i a_i b_i^T: the SVD of C
+    with the sign of the last singular direction fixed so that det R = +1.
+    """
     u, s, vt = np.linalg.svd(cross_cov)
     if s[1] <= 1e-9 * max(s[0], 1e-300):
         raise DegenerateGeometryError(

@@ -29,14 +29,13 @@ class PnPEstimate:
 def _dlt_pose(points3d, points2d_norm):
     """Pose from the direct linear transform on normalized coordinates."""
     p = points3d.shape[1]
-    a = np.zeros((2 * p, 12))
-    for i in range(p):
-        xh = np.append(points3d[:, i], 1.0)
-        x, y = points2d_norm[0, i], points2d_norm[1, i]
-        a[2 * i, 0:4] = xh
-        a[2 * i, 8:12] = -x * xh
-        a[2 * i + 1, 4:8] = xh
-        a[2 * i + 1, 8:12] = -y * xh
+    xh = np.vstack([points3d, np.ones(p)]).T  # p x 4 homogeneous points
+    a = np.zeros((p, 2, 12))  # rows 2i and 2i+1 of the DLT system
+    a[:, 0, 0:4] = xh
+    a[:, 0, 8:12] = -points2d_norm[0, :, None] * xh
+    a[:, 1, 4:8] = xh
+    a[:, 1, 8:12] = -points2d_norm[1, :, None] * xh
+    a = a.reshape(2 * p, 12)
     _, _, vt = np.linalg.svd(a)
     proj = vt[-1].reshape(3, 4)
     # sign: most points should end up in front of the camera
@@ -62,6 +61,31 @@ def _reprojection_residuals(points3d, points2d, intrinsics, rotation, translatio
     py = intrinsics.fy * yn + intrinsics.cy
     resid = np.vstack([px, py]) - points2d
     return resid.T.ravel(), cam
+
+
+def _reprojection_jacobian(points3d, cam, rotation, intrinsics):
+    """Jacobian (2p x 6) of the stacked pixel residuals with respect to
+    (omega, T), for the rotation perturbed as R <- R exp(hat(omega))."""
+    p = points3d.shape[1]
+    u0, u1, u2 = cam
+    dpi = np.zeros((p, 2, 3))  # pixel projection Jacobian at each camera point
+    dpi[:, 0, 0] = intrinsics.fx / u2
+    dpi[:, 0, 1] = intrinsics.skew / u2
+    dpi[:, 0, 2] = -(intrinsics.fx * u0 + intrinsics.skew * u1) / u2**2
+    dpi[:, 1, 1] = intrinsics.fy / u2
+    dpi[:, 1, 2] = -intrinsics.fy * u1 / u2**2
+    x0, x1, x2 = points3d
+    zero = np.zeros(p)
+    hats = np.stack(  # hat(x_i) for every model point
+        [
+            np.stack([zero, -x2, x1], axis=-1),
+            np.stack([x2, zero, -x0], axis=-1),
+            np.stack([-x1, x0, zero], axis=-1),
+        ],
+        axis=1,
+    )
+    du_domega = -rotation @ hats
+    return np.concatenate([dpi @ du_domega, dpi], axis=2).reshape(2 * p, 6)
 
 
 def _rmse(residuals, p):
@@ -102,27 +126,7 @@ def solve_pnp(points3d, points2d, intrinsics, max_iterations=100):
 
     damping = 1e-3
     for _ in range(max_iterations):
-        z = cam[2]
-        jac = np.zeros((2 * p, 6))
-        for i in range(p):
-            u = cam[:, i]
-            dpi = np.array(
-                [
-                    [
-                        intrinsics.fx / u[2],
-                        intrinsics.skew / u[2],
-                        -(intrinsics.fx * u[0] + intrinsics.skew * u[1]) / u[2] ** 2,
-                    ],
-                    [0.0, intrinsics.fy / u[2], -intrinsics.fy * u[1] / u[2] ** 2],
-                ]
-            )
-            # rotation perturbed as R <- R exp(hat(omega))
-            xi = points3d[:, i]
-            du_domega = -rotation @ np.array(
-                [[0.0, -xi[2], xi[1]], [xi[2], 0.0, -xi[0]], [-xi[1], xi[0], 0.0]]
-            )
-            jac[2 * i : 2 * i + 2, :3] = dpi @ du_domega
-            jac[2 * i : 2 * i + 2, 3:] = dpi
+        jac = _reprojection_jacobian(points3d, cam, rotation, intrinsics)
         gradient = jac.T @ residuals
         if np.linalg.norm(gradient) < 1e-12:
             break

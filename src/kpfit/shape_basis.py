@@ -216,7 +216,10 @@ def load_basis(path):
 
     if expect("SHAPEBASIS") != "SHAPEBASIS v1":
         raise FormatError("unsupported basis format version")
-    class_name = expect("class ").split(maxsplit=1)[1]
+    class_parts = expect("class ").split(maxsplit=1)
+    if len(class_parts) != 2:
+        raise FormatError("class line has no class name")
+    class_name = class_parts[1]
     try:
         p = int(expect("p ").split()[1])
         k = int(expect("k ").split()[1])
@@ -244,15 +247,21 @@ def load_basis(path):
         header = expect("mode ").split()
         if len(header) != 4 or header[1] != str(i) or header[2] != "eigenvalue":
             raise FormatError(f"bad mode header: {' '.join(header)!r}")
-        eigvals.append(float(header[3]))
+        try:
+            eigvals.append(float(header[3]))
+        except ValueError as exc:
+            raise FormatError(f"bad eigenvalue in mode header: {header[3]!r}") from exc
         modes.append(read_matrix())
-    return ShapeBasis(
-        class_name=class_name,
-        b0=b0,
-        modes=tuple(modes),
-        eigenvalues=np.array(eigvals),
-        keypoint_names=names,
-    )
+    try:
+        return ShapeBasis(
+            class_name=class_name,
+            b0=b0,
+            modes=tuple(modes),
+            eigenvalues=np.array(eigvals),
+            keypoint_names=names,
+        )
+    except ValueError as exc:
+        raise FormatError(f"invalid shape basis: {exc}") from exc
 
 
 def write_model(shape, path, keypoint_names=()):

@@ -3,7 +3,15 @@
 The weighted, Tikhonov-regularized cost is minimized by block coordinate
 descent, initialized from a convex relaxation that fixes the shape to the
 mean and replaces the row-orthonormality constraint with a spectral-norm
-regularizer.
+regularizer. Every block is an exact minimizer, so the cost never rises:
+
+- scale, shape coefficients and offset are weighted least-squares solves;
+- the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3),
+  whose gradient and Hessian need only the 2x3 and 3x3 moments of the
+  data. A step is kept only when the Hessian is positive definite and the
+  cost does not rise; otherwise the step is one Procrustes pass on the
+  cross-covariance completed with the missing third image row (Kiers,
+  Psychometrika 1990), which cannot raise the cost either.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
-from .geometry import hat, lift_stiefel, weighted_procrustes
+from .geometry import hat, lift_stiefel, rotation_from_cross_covariance, so3_exp
 from .shape_basis import compose_shape
 
 logger = logging.getLogger(__name__)
@@ -96,15 +104,26 @@ def _cleaned_w(obs):
     return w
 
 
+def _wp_cost(w, d, s, shape, c, rbar, tbar, lam):
+    """cost_wp on cleaned keypoints and an already composed shape."""
+    resid = w - s * (rbar @ shape) - tbar[:, None]
+    return float(
+        0.5 * np.sum(d * np.sum(resid**2, axis=0)) + 0.5 * lam * np.sum(c**2)
+    )
+
+
 def cost_wp(obs, basis, s, c, rbar, tbar, lam):
     """Weighted weak-perspective cost with Tikhonov penalty on c."""
     c = np.asarray(c, dtype=float).reshape(-1)
-    shape = compose_shape(basis, c)
-    w = _cleaned_w(obs)
-    tbar = np.asarray(tbar, dtype=float).reshape(2)
-    resid = w - s * (np.asarray(rbar, dtype=float) @ shape) - tbar[:, None]
-    return float(
-        0.5 * np.sum(obs.d * np.sum(resid**2, axis=0)) + 0.5 * lam * np.sum(c**2)
+    return _wp_cost(
+        _cleaned_w(obs),
+        obs.d,
+        s,
+        compose_shape(basis, c),
+        c,
+        np.asarray(rbar, dtype=float),
+        np.asarray(tbar, dtype=float).reshape(2),
+        lam,
     )
 
 
@@ -207,34 +226,76 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
 
 
-def _update_rbar(w, d, s, shape, tbar, rbar, max_inner=50):
-    """Exact-descent update of the orthonormal rows with everything else fixed.
+def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
+    """Exact minimizer of the 2D cost over the orthonormal rows, all else fixed.
 
-    Alternates between completing the missing image-plane depth coordinate and
-    a full weighted Procrustes solve; each pass cannot increase the 2D cost.
+    With a_i = w_i - tbar, b_i = s S_i and R = [rbar; u] (u = r1 x r2), the
+    cost sum_i d_i |a_i - rbar b_i|^2 equals const - 2 tr(R^T N) - u^T M u,
+    where N = [sum_i d_i a_i b_i^T; 0] and M = sum_i d_i b_i b_i^T, so each
+    step needs only 3x3 algebra. A step is a safeguarded Newton step (see the
+    module docstring) or else one completion pass: the Procrustes rotation of
+    the cross-covariance [N; u^T M], which fills in the missing image row
+    with u^T b_i.
     """
     a = w - tbar[:, None]
     b = s * shape
+    db = b * d
+    n = np.zeros((3, 3))
+    n[:2] = a @ db.T
+    m = b @ db.T
     rot = lift_stiefel(rbar)
-    prev = None
-    for _ in range(max_inner):
-        a3 = np.vstack([a, rot[2] @ b])
-        rot = weighted_procrustes(a3, b, d)
-        cost = np.sum(d * np.sum((a - rot[:2] @ b) ** 2, axis=0))
-        if prev is not None and prev - cost <= 1e-14 * max(prev, 1.0):
+
+    def cost(r):
+        return float(np.sum(d * np.sum((a - r[:2] @ b) ** 2, axis=0)))
+
+    current = cost(rot)
+    for _ in range(max_steps):
+        prev = current
+        # gradient and Hessian of omega -> cost(R exp(hat(omega))) at omega = 0
+        u = rot[2]
+        mu = m @ u
+        hu = hat(u)
+        x = rot.T @ n
+        grad = 2.0 * (hu @ mu) - 2.0 * np.array(
+            [x[2, 1] - x[1, 2], x[0, 2] - x[2, 0], x[1, 0] - x[0, 1]]
+        )
+        mu_u = np.outer(mu, u)
+        hess = (
+            2.0 * (np.trace(x) + u @ mu) * np.eye(3)
+            - (x + x.T)
+            - 2.0 * (hu.T @ m @ hu)
+            - (mu_u + mu_u.T)
+        )
+        step = None
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            pass  # not positive definite: no Newton step
+        else:
+            step = rot @ so3_exp(-np.linalg.solve(hess, grad))
+            step_cost = cost(step)
+        if step is not None and step_cost <= current:
+            rot, current = step, step_cost
+        else:
+            n[2] = mu
+            rot = rotation_from_cross_covariance(n)
+            n[2] = 0.0
+            current = cost(rot)
+        if prev - current <= 1e-14 * max(prev, 1.0):
             break
-        prev = cost
     return rot[:2]
 
 
-def _bcd_wp(w, d, obs, basis, s, rbar, tbar, lam, opts):
+def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
     dsum = d.sum()
-    k = basis.num_modes
+    k, p = basis.num_modes, basis.num_keypoints
+    modes = np.asarray(basis.modes, dtype=float).reshape(k, 3, p)
     c = np.zeros(k)
+    shape = compose_shape(basis, c)
     s = max(float(s), 1e-12)
 
     def cost():
-        return cost_wp(obs, basis, s, c, rbar, tbar, lam)
+        return _wp_cost(w, d, s, shape, c, rbar, tbar, lam)
 
     block_costs = [cost()] if opts.record_block_costs else None
     current = cost()
@@ -247,7 +308,6 @@ def _bcd_wp(w, d, obs, basis, s, rbar, tbar, lam, opts):
 
     for iterations in range(1, opts.max_iterations + 1):
         prev = current
-        shape = compose_shape(basis, c)
 
         # scale block (closed-form weighted least squares)
         proj = rbar @ shape
@@ -260,7 +320,7 @@ def _bcd_wp(w, d, obs, basis, s, rbar, tbar, lam, opts):
 
         # coefficient block (weighted ridge least squares)
         if k > 0:
-            pmodes = s * np.stack([rbar @ mode for mode in basis.modes])  # k x 2 x p
+            pmodes = s * (rbar @ modes)  # k x 2 x p
             r0 = w - s * (rbar @ basis.b0) - tbar[:, None]
             gram = np.einsum("p,jap,lap->jl", d, pmodes, pmodes)
             rhs = np.einsum("p,jap,ap->j", d, pmodes, r0)
@@ -321,7 +381,7 @@ def solve_wp(obs, basis, opts=None):
 
     results = []
     for s0, rbar0, tbar0 in convex_init(obs, basis.b0, mu):
-        results.append(_bcd_wp(w, d, obs, basis, s0, rbar0, tbar0, lam, opts))
+        results.append(_bcd_wp(w, d, basis, s0, rbar0, tbar0, lam, opts))
 
     best = results[0]
     for other in results[1:]:

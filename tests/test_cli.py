@@ -278,3 +278,19 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+    def test_malformed_basis_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "basis.txt"
+        bad.write_text((DATA / "basis.txt").read_text().replace("class toy", "class "))
+        code, out, err = run_cli(
+            capsys,
+            "fit-wp",
+            "--basis",
+            str(bad),
+            "--keypoints",
+            str(DATA / "keypoints.txt"),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1

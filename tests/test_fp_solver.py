@@ -14,6 +14,7 @@ from kpfit import (
     fp_cost_gradient,
     geodesic_distance,
     normalize_keypoints,
+    so3_exp,
     solve_fp,
     solve_wp,
     weighted_procrustes,
@@ -266,24 +267,25 @@ class TestSolveFp:
             assert np.all(np.diff(costs) <= 1e-10)
 
     def test_clamped_depths_keep_descent_monotone(self, basis, intrinsics):
-        # a confident keypoint far off its projection clamps depths at the
-        # floor during the descent; the fit must still descend monotonically
-        # to a minimizer with every depth in front of the camera
-        shape = compose_shape(basis, np.zeros(2))
-        points = shape + np.array([0.0, 0.0, 8.0 * basis.diameter()])[:, None]
-        pixels = intrinsics.project(points)
-        pixels[:, 0] = [intrinsics.cx - 5.0 * intrinsics.fx, intrinsics.cy]
-        d = np.ones(12)
-        d[0] = 50.0
+        # a start rotated 3 rad away from the truth at close range puts model
+        # points behind their rays, so block A clamps depths at the floor
+        # early in the descent; the fit must still descend monotonically to
+        # the true pose with no depth left at the floor
+        c, shape, rotation, translation, pixels = make_fp_scene(
+            basis, intrinsics, 5, depth_mult=2.0
+        )
+        start = rotation @ so3_exp(np.array([3.0, 0.0, 0.0]))
         est = solve_fp(
-            KeypointObservations(pixels, d),
+            KeypointObservations(pixels, np.ones(12)),
             intrinsics,
             basis,
             SolverOptions(record_block_costs=True),
+            init=(start, translation),
         )
         assert est.converged
         assert np.all(est.depths > 0.0)
         assert np.all(np.diff(est.block_costs) <= 1e-10)
+        assert np.degrees(geodesic_distance(est.rotation, rotation)) < 2.0
 
     def test_explicit_init_is_used(self, basis, intrinsics):
         c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 13)
@@ -337,6 +339,18 @@ class TestSolveFp:
         assert ray @ points[:, 0] < 0.0
         d = np.ones(12)
         d[0] = 5.0
+        with pytest.raises(BehindCameraError):
+            solve_fp(KeypointObservations(pixels, d), intrinsics, basis)
+
+    def test_depth_pinned_in_last_block_raises(self, basis, intrinsics):
+        # the final check must use the depths block A clamped, not a floor
+        # recomputed from the final translation: here block B shrinks |T|,
+        # which leaves the pinned depths just above the recomputed floor
+        points = basis.b0 + np.array([0.0, 0.0, 8.0 * basis.diameter()])[:, None]
+        pixels = intrinsics.project(points)
+        pixels[:, 5] = [intrinsics.cx - 6.0 * intrinsics.fx, intrinsics.cy]
+        d = np.ones(12)
+        d[5] = 0.5
         with pytest.raises(BehindCameraError):
             solve_fp(KeypointObservations(pixels, d), intrinsics, basis)
 

@@ -8,8 +8,13 @@ from kpfit import (
     geodesic_distance,
     solve_pnp,
 )
-from kpfit.pnp import _dlt_pose, _reprojection_residuals, _rmse
-from kpfit.geometry import normalize_keypoints
+from kpfit.pnp import (
+    _dlt_pose,
+    _reprojection_jacobian,
+    _reprojection_residuals,
+    _rmse,
+)
+from kpfit.geometry import hat, normalize_keypoints, project_to_so3
 from conftest import random_rotation
 
 
@@ -98,3 +103,57 @@ class TestDegenerateInputs:
         pts, rotation, translation, pixels, k = make_rigid_scene(7)
         with pytest.raises(ValueError):
             solve_pnp(pts, pixels[:, :-1], k)
+
+
+def loop_dlt_pose(points3d, points2d_norm):
+    """Per-point reference for _dlt_pose."""
+    p = points3d.shape[1]
+    a = np.zeros((2 * p, 12))
+    for i in range(p):
+        xh = np.append(points3d[:, i], 1.0)
+        x, y = points2d_norm[:, i]
+        a[2 * i, 0:4] = xh
+        a[2 * i, 8:12] = -x * xh
+        a[2 * i + 1, 4:8] = xh
+        a[2 * i + 1, 8:12] = -y * xh
+    proj = np.linalg.svd(a)[2][-1].reshape(3, 4)
+    if np.median(proj[2, :3] @ points3d + proj[2, 3]) < 0.0:
+        proj = -proj
+    scale = 1.0 / np.mean(np.linalg.svd(proj[:, :3], compute_uv=False))
+    return project_to_so3(proj[:, :3]), scale * proj[:, 3]
+
+
+def loop_jacobian(points3d, cam, rotation, k):
+    """Per-point reference for _reprojection_jacobian."""
+    p = points3d.shape[1]
+    jac = np.zeros((2 * p, 6))
+    for i in range(p):
+        x, y, z = cam[:, i]
+        dpi = np.array(
+            [
+                [k.fx / z, k.skew / z, -(k.fx * x + k.skew * y) / z**2],
+                [0.0, k.fy / z, -k.fy * y / z**2],
+            ]
+        )
+        jac[2 * i : 2 * i + 2, :3] = dpi @ (-rotation @ hat(points3d[:, i]))
+        jac[2 * i : 2 * i + 2, 3:] = dpi
+    return jac
+
+
+class TestVectorizedMatchesLoops:
+    def test_dlt_pose(self):
+        for seed in range(10):
+            pts, _, _, pixels, k = make_rigid_scene(seed, p=6 + seed)
+            noisy = pixels + np.random.default_rng(seed).normal(0.0, 2.0, pixels.shape)
+            norm2d = normalize_keypoints(noisy, k)[:2]
+            for got, want in zip(_dlt_pose(pts, norm2d), loop_dlt_pose(pts, norm2d)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jacobian(self):
+        k = CameraIntrinsics(800.0, 790.0, 320.0, 240.0, skew=1.5)
+        for seed in range(10):
+            pts, rotation, translation, _, _ = make_rigid_scene(seed, intrinsics=k)
+            cam = rotation @ pts + translation[:, None]
+            got = _reprojection_jacobian(pts, cam, rotation, k)
+            want = loop_jacobian(pts, cam, rotation, k)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

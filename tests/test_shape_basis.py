@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
@@ -12,6 +14,8 @@ from kpfit import (
     variance_explained,
 )
 from conftest import make_basis
+
+DATA = Path(__file__).parent / "data"
 
 
 def generate_models(basis, n, seed, coeff_std=None):
@@ -183,5 +187,26 @@ class TestBasisFile:
         path.write_text("SHAPEBASIS v2\n")
         from kpfit import FormatError
 
+        with pytest.raises(FormatError):
+            load_basis(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("class toy", "class "),
+            ("mode 1 eigenvalue 0.089999999999999997", "mode 1 eigenvalue big"),
+            # a mode that ShapeBasis rejects: not of unit norm
+            ("-0.023703575596154547 ", "5.0 "),
+        ],
+        ids=["class-without-name", "non-numeric-eigenvalue", "mode-not-unit-norm"],
+    )
+    def test_malformed_content_raises_format_error(self, tmp_path, edit):
+        from kpfit import FormatError
+
+        text = (DATA / "basis.txt").read_text()
+        old, new = edit
+        assert text.count(old) == 1
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(old, new))
         with pytest.raises(FormatError):
             load_basis(path)

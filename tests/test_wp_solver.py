@@ -12,9 +12,12 @@ from kpfit import (
     geodesic_distance,
     lift_stiefel,
     project_weak,
+    so3_exp,
     solve_wp,
+    weighted_procrustes,
     wp_cost_gradient,
 )
+from kpfit import wp_solver
 from conftest import make_basis, random_rotation
 
 
@@ -286,3 +289,73 @@ class TestGradient:
                 step[j] = eps
                 num = (cost_at(omega=step) - cost_at(omega=-step)) / (2 * eps)
                 assert g_omega[j] == pytest.approx(num, rel=1e-5, abs=1e-8)
+
+
+def rotation_block_scene(basis, seed):
+    """Noisy weak-perspective scene with s, c and tbar fixed, plus a random
+    start for the rows: (w, d, s, c, shape, tbar, rbar_start)."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(0.0, 0.2, basis.num_modes)
+    shape = compose_shape(basis, c)
+    s = rng.uniform(0.5, 2.0)
+    tbar = rng.normal(size=2)
+    w = project_weak(s, random_rotation(rng)[:2], tbar, shape)
+    w = w + rng.normal(0.0, 0.05, w.shape)
+    d = rng.uniform(0.2, 1.0, basis.num_keypoints)
+    return w, d, s, c, shape, tbar, random_rotation(rng)[:2]
+
+
+def rows_cost(w, d, s, shape, tbar, rbar):
+    return float(np.sum(d * np.sum((w - tbar[:, None] - s * (rbar @ shape)) ** 2, axis=0)))
+
+
+class TestRotationBlock:
+    def test_reaches_stationary_point(self, basis):
+        for seed in range(20):
+            w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 300 + seed)
+            rbar = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            g_omega = wp_cost_gradient(
+                KeypointObservations(w, d), basis, s, c, rbar, tbar, 0.0
+            )[3]
+            scale = np.sum(d * np.sum((s * shape) ** 2, axis=0))
+            assert np.linalg.norm(g_omega) <= 1e-8 * scale
+
+    def test_never_above_one_completion_pass(self, basis):
+        for seed in range(20):
+            w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 400 + seed)
+            b = s * shape
+            completed = np.vstack([w - tbar[:, None], lift_stiefel(start)[2] @ b])
+            one_pass = weighted_procrustes(completed, b, d)[:2]
+            rbar = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            assert rows_cost(w, d, s, shape, tbar, rbar) <= rows_cost(
+                w, d, s, shape, tbar, one_pass
+            ) * (1.0 + 1e-12)
+
+    def test_start_opposite_the_optimum_falls_back_and_descends(
+        self, basis, monkeypatch
+    ):
+        calls = []
+        exact = wp_solver.rotation_from_cross_covariance
+
+        def counting(cross_cov):
+            calls.append(1)
+            return exact(cross_cov)
+
+        monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
+        for seed in range(5):
+            w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 500 + seed)
+            best = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            best_cost = rows_cost(w, d, s, shape, tbar, best)
+            for axis in np.eye(3):
+                # about 176 degrees from the optimum, far outside the region
+                # where plain Newton steps descend
+                far = (lift_stiefel(best) @ so3_exp(0.98 * np.pi * axis))[:2]
+                calls.clear()
+                rbar = wp_solver._update_rbar(w, d, s, shape, tbar, far)
+                assert calls
+                assert rows_cost(w, d, s, shape, tbar, rbar) < rows_cost(
+                    w, d, s, shape, tbar, far
+                )
+                assert rows_cost(w, d, s, shape, tbar, rbar) == pytest.approx(
+                    best_cost, rel=1e-9
+                )
