@@ -40,6 +40,7 @@ from .heatmap import (
 )
 from .observations import (
     KeypointObservations,
+    format_keypoints,
     read_intrinsics,
     read_keypoints,
     write_intrinsics,

@@ -17,12 +17,7 @@ from .errors import KpfitError
 from .fp_solver import solve_fp
 from .geometry import CameraIntrinsics
 from .heatmap import extract_peaks, read_heatmaps, synthesize_heatmap, write_heatmaps
-from .observations import (
-    fmt_float,
-    read_intrinsics,
-    read_keypoints,
-    write_keypoints,
-)
+from .observations import fmt_float, format_keypoints, read_intrinsics, read_keypoints
 from .pnp import solve_pnp
 from .shape_basis import build_basis, load_basis, read_model, save_basis
 from .wp_solver import SolverOptions, solve_wp
@@ -138,16 +133,7 @@ def _cmd_peaks(args):
         except ValueError as exc:
             raise KpfitError(f"bad --scale-to value {args.scale_to!r}") from exc
     obs = extract_peaks(maps, scale_to=scale_to, subpixel=args.subpixel)
-    if args.out:
-        write_keypoints(obs, args.out)
-    else:
-        lines = [f"KPTS v1 p={obs.num_keypoints}"]
-        for i, name in enumerate(obs.keypoint_names):
-            lines.append(
-                f"{name} {fmt_float(obs.w[0, i])} {fmt_float(obs.w[1, i])} "
-                f"{fmt_float(obs.d[i])}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(format_keypoints(obs), args.out)
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BehindCameraError, InsufficientConstraintsError
-from .geometry import hat, normalize_keypoints, weighted_procrustes
+from .geometry import normalize_keypoints, weighted_procrustes
 from .observations import KeypointObservations
 from .shape_basis import compose_shape
 from .wp_solver import SolverOptions, default_lambda, solve_wp, _cleaned_w
@@ -95,12 +95,9 @@ def fp_cost_gradient(obs, intrinsics, basis, rotation, translation, c, depths, l
 
     g_t = -np.sum(wr, axis=1)
     g_z = d * np.sum(resid * wt, axis=0)
-    g_c = np.array(
-        [-float(np.sum(wr * (rotation @ mode))) for mode in basis.modes]
-    ) + lam * c
-    g_omega = np.array(
-        [-float(np.sum(wr * (rotation @ hat(ek) @ shape))) for ek in np.eye(3)]
-    )
+    g_c = -np.einsum("ap,jap->j", wr, rotation @ basis.modes) + lam * c
+    # d/d omega_j of rotation exp(hat(omega)) S_i is rotation (e_j x S_i)
+    g_omega = -np.sum(np.cross(shape, rotation.T @ wr, axis=0), axis=1)
     return g_t, g_c, g_z, g_omega
 
 
@@ -156,7 +153,6 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     wt_sq = np.sum(wt**2, axis=0)
     dsum = d.sum()
     k, p = basis.num_modes, basis.num_keypoints
-    modes = np.asarray(basis.modes, dtype=float).reshape(k, 3, p)
     # d_i (I - v_i v_i^T / |v_i|^2): the weighted object-space projector of ray i
     dproj = d[:, None, None] * (
         np.eye(3) - np.einsum("ap,bp->pab", wt, wt) / wt_sq[:, None, None]
@@ -172,7 +168,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         for the given stack d_i P_i, then each depth as its clamped ray
         projection, and which depths the floor pinned. With P_i the ray
         projector the depths drop out."""
-        design[:, :, 3:] = np.einsum("ab,jbp->paj", rotation, modes)
+        design[:, :, 3:] = np.einsum("ab,jbp->paj", rotation, basis.modes)
         wa = weights @ design
         gram = np.einsum("pai,paj->ij", design, wa) + ridge
         rhs = np.einsum("pai,ap->i", wa, wt * depths - rotation @ basis.b0)

@@ -185,6 +185,8 @@ class CameraIntrinsics:
     def __post_init__(self):
         if not (self.fx > 0.0 and self.fy > 0.0):
             raise ValueError("focal lengths must be positive")
+        if not np.isfinite([self.fx, self.fy, self.cx, self.cy, self.skew]).all():
+            raise ValueError("intrinsics must be finite")
 
     def matrix(self):
         return np.array(

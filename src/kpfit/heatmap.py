@@ -145,12 +145,9 @@ def read_heatmaps(path):
     payload = count * h * w * 4
     if len(data) < 16 + payload:
         raise FormatError("truncated heatmap payload")
-    maps = []
-    offset = 16
-    for _ in range(count):
-        grid = np.frombuffer(data, dtype="<f4", count=h * w, offset=offset).reshape(h, w)
-        maps.append(grid.copy())
-        offset += h * w * 4
+    grids = np.frombuffer(data, dtype="<f4", count=count * h * w, offset=16)
+    grids = grids.reshape(count, h, w).copy()
+    offset = 16 + payload
     names = []
     for _ in range(count):
         if len(data) < offset + 2:
@@ -159,6 +156,9 @@ def read_heatmaps(path):
         offset += 2
         if len(data) < offset + n:
             raise FormatError("truncated heatmap name table")
-        names.append(data[offset : offset + n].decode("utf-8"))
+        names.append(data[offset : offset + n])
         offset += n
-    return [Heatmap(values=g, keypoint_name=nm) for g, nm in zip(maps, names)]
+    try:  # a bad value, or a name that is not UTF-8 (UnicodeDecodeError)
+        return [Heatmap(g, nm.decode("utf-8")) for g, nm in zip(grids, names)]
+    except ValueError as exc:
+        raise FormatError(f"invalid heatmap: {exc}") from exc

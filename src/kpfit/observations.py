@@ -60,7 +60,18 @@ class KeypointObservations:
         )
 
 
-def write_keypoints(obs, path):
+def read_lines(path):
+    """Non-blank lines of a UTF-8 text file; other bytes raise FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}") from exc
+    return [ln for ln in text.split("\n") if ln.strip()]
+
+
+def format_keypoints(obs):
+    """``KPTS v1`` text of the observations."""
     lines = [f"KPTS v1 p={obs.num_keypoints}"]
     for i, name in enumerate(obs.keypoint_names):
         if any(ch.isspace() for ch in name):
@@ -69,13 +80,17 @@ def write_keypoints(obs, path):
             f"{name} {fmt_float(obs.w[0, i])} {fmt_float(obs.w[1, i])} "
             f"{fmt_float(obs.d[i])}"
         )
+    return "\n".join(lines) + "\n"
+
+
+def write_keypoints(obs, path):
+    text = format_keypoints(obs)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_keypoints(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines:
         raise FormatError("empty keypoint file")
     header = lines[0].split()
@@ -102,7 +117,10 @@ def read_keypoints(path):
             ds.append(float(parts[3]))
         except ValueError as exc:
             raise FormatError(f"bad number in keypoint line: {ln!r}") from exc
-    return KeypointObservations(np.array([xs, ys]), np.array(ds), tuple(names))
+    try:
+        return KeypointObservations(np.array([xs, ys]), np.array(ds), tuple(names))
+    except ValueError as exc:
+        raise FormatError(f"invalid keypoints: {exc}") from exc
 
 
 def write_intrinsics(intrinsics, path):
@@ -119,8 +137,7 @@ def write_intrinsics(intrinsics, path):
 
 
 def read_intrinsics(path):
-    with open(path, encoding="utf-8") as fh:
-        parts = fh.read().split()
+    parts = " ".join(read_lines(path)).split()
     if len(parts) not in (4, 5):
         raise FormatError("intrinsics file must hold 'fx fy cx cy [skew]'")
     try:

@@ -13,16 +13,20 @@ import numpy as np
 
 from .errors import FormatError
 from .geometry import weighted_procrustes
-from .observations import fmt_float
+from .observations import fmt_float, read_lines
 
 
 @dataclass
 class ShapeBasis:
-    """Mean shape B0, k unit-norm deformation modes, and their variances."""
+    """Mean shape B0 (3xp), k unit-norm deformation modes and their variances.
+
+    ``modes`` is one (k, 3, p) float array, also built from a sequence of 3xp
+    arrays; k = 0 gives shape (0, 3, p).
+    """
 
     class_name: str
     b0: np.ndarray
-    modes: tuple = field(default=())
+    modes: np.ndarray = field(default=())
     eigenvalues: np.ndarray = field(default_factory=lambda: np.zeros(0))
     keypoint_names: tuple = field(default=())
 
@@ -30,23 +34,27 @@ class ShapeBasis:
         self.b0 = np.asarray(self.b0, dtype=float)
         if self.b0.ndim != 2 or self.b0.shape[0] != 3 or self.b0.shape[1] < 1:
             raise ValueError("mean shape must be a 3xp matrix with p >= 1")
-        self.modes = tuple(np.asarray(m, dtype=float) for m in self.modes)
+        self.modes = np.asarray(self.modes, dtype=float)
+        if self.modes.shape == (0,):
+            self.modes = self.modes.reshape(0, *self.b0.shape)
+        if self.modes.ndim != 3 or self.modes.shape[1:] != self.b0.shape:
+            raise ValueError("every mode must match the mean shape's size")
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
         if self.eigenvalues.shape != (len(self.modes),):
             raise ValueError("need one eigenvalue per mode")
+        for values in (self.b0, self.modes, self.eigenvalues):
+            if not np.isfinite(values).all():
+                raise ValueError("mean shape, modes and eigenvalues must be finite")
         if np.any(self.eigenvalues < 0.0):
             raise ValueError("eigenvalues must be nonnegative")
         if np.any(np.diff(self.eigenvalues) > 0.0):
             raise ValueError("eigenvalues must be sorted descending")
-        for m in self.modes:
-            if m.shape != self.b0.shape:
-                raise ValueError("every mode must match the mean shape's size")
-            if abs(np.linalg.norm(m) - 1.0) > 1e-9:
-                raise ValueError("modes must have unit norm when flattened")
-        for i in range(len(self.modes)):
-            for j in range(i + 1, len(self.modes)):
-                if abs(np.sum(self.modes[i] * self.modes[j])) > 1e-9:
-                    raise ValueError("modes must be mutually orthogonal")
+        flat = self.modes.reshape(len(self.modes), self.b0.size)
+        gram = flat @ flat.T
+        if np.any(np.abs(np.sqrt(np.diag(gram)) - 1.0) > 1e-9):
+            raise ValueError("modes must have unit norm when flattened")
+        if np.any(np.abs(gram - np.diag(np.diag(gram))) > 1e-9):
+            raise ValueError("modes must be mutually orthogonal")
         if not self.keypoint_names:
             self.keypoint_names = tuple(f"kp{i}" for i in range(self.b0.shape[1]))
         else:
@@ -131,17 +139,13 @@ def build_basis(
         num = int(np.searchsorted(cum, variance_fraction - 1e-12) + 1)
         num = min(num, rank, n - 1)
 
-    modes = []
-    for i in range(num):
-        vec = vt[i]
-        # deterministic sign: largest-magnitude component positive
-        if vec[np.argmax(np.abs(vec))] < 0.0:
-            vec = -vec
-        modes.append(vec.reshape(3, p))
+    modes = vt[:num].copy()
+    # deterministic sign: each mode's largest-magnitude component positive
+    modes[modes[np.arange(num), np.argmax(np.abs(modes), axis=1)] < 0.0] *= -1.0
     return ShapeBasis(
         class_name=class_name,
         b0=mean.reshape(3, p),
-        modes=tuple(modes),
+        modes=modes.reshape(num, 3, p),
         eigenvalues=eigvals[:num],
         keypoint_names=tuple(keypoint_names),
     )
@@ -154,16 +158,13 @@ def compose_shape(basis, c):
         raise ValueError(
             f"coefficient vector length {c.shape[0]} != mode count {basis.num_modes}"
         )
-    shape = basis.b0.copy()
-    for ci, mode in zip(c, basis.modes):
-        shape += ci * mode
-    return shape
+    return basis.b0 + (c @ basis.modes.reshape(len(c), basis.b0.size)).reshape(3, -1)
 
 
 def project_coefficients(basis, shape):
     """Coefficients of the orthogonal projection of a shape onto the basis."""
     diff = (np.asarray(shape, dtype=float) - basis.b0).ravel()
-    return np.array([np.dot(diff, m.ravel()) for m in basis.modes])
+    return basis.modes.reshape(basis.num_modes, diff.size) @ diff
 
 
 def variance_explained(basis):
@@ -201,9 +202,7 @@ def save_basis(basis, path):
 
 
 def load_basis(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    it = iter(lines)
+    it = iter(read_lines(path))
 
     def expect(prefix):
         try:
@@ -256,7 +255,7 @@ def load_basis(path):
         return ShapeBasis(
             class_name=class_name,
             b0=b0,
-            modes=tuple(modes),
+            modes=modes,
             eigenvalues=np.array(eigvals),
             keypoint_names=names,
         )
@@ -281,16 +280,15 @@ def write_model(shape, path, keypoint_names=()):
 
 def read_model(path):
     """Read a ``MODEL v1`` file; returns (3xp array, keypoint names)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = read_lines(path)
     if not lines or not lines[0].startswith("MODEL v1 p="):
         raise FormatError("bad model file header")
     try:
         p = int(lines[0].split("p=")[1])
     except ValueError as exc:
         raise FormatError("bad point count in model header") from exc
-    if len(lines) - 1 != p:
-        raise FormatError(f"expected {p} model lines, found {len(lines) - 1}")
+    if p < 1 or len(lines) - 1 != p:
+        raise FormatError(f"p={p}: need p >= 1 and p model lines, got {len(lines) - 1}")
     names, cols = [], []
     for ln in lines[1:]:
         parts = ln.split()

@@ -9,7 +9,8 @@ regularizer. Every block is an exact minimizer, so the cost never rises:
 - the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3),
   whose gradient and Hessian need only the 2x3 and 3x3 moments of the
   data. A step is kept only when the Hessian is positive definite and the
-  cost does not rise; otherwise the step is one Procrustes pass on the
+  cost does not rise; a rise within the stopping tolerance ends the block
+  as solved. Otherwise the step is one Procrustes pass on the
   cross-covariance completed with the missing third image row (Kiers,
   Psychometrika 1990), which cannot raise the cost either.
 """
@@ -145,12 +146,9 @@ def wp_cost_gradient(obs, basis, s, c, rbar, tbar, lam):
 
     g_s = -float(np.sum(wr * proj))
     g_tbar = -np.sum(wr, axis=1)
-    g_c = np.array(
-        [-s * float(np.sum(wr * (rbar @ mode))) for mode in basis.modes]
-    ) + lam * c
-    g_omega = np.array(
-        [-s * float(np.sum(wr * (rbar @ hat(ek) @ shape))) for ek in np.eye(3)]
-    )
+    g_c = -s * np.einsum("ap,jap->j", wr, rbar @ basis.modes) + lam * c
+    # d/d omega_j of rbar exp(hat(omega)) S_i is rbar (e_j x S_i)
+    g_omega = -s * np.sum(np.cross(shape, rbar.T @ wr, axis=0), axis=1)
     return g_s, g_c, g_tbar, g_omega
 
 
@@ -276,6 +274,8 @@ def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
             step_cost = cost(step)
         if step is not None and step_cost <= current:
             rot, current = step, step_cost
+        elif step is not None and step_cost - current <= 1e-14 * max(current, 1.0):
+            break  # a Newton step rejected only by rounding: the block is solved
         else:
             n[2] = mu
             rot = rotation_from_cross_covariance(n)
@@ -288,8 +288,7 @@ def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
 
 def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
     dsum = d.sum()
-    k, p = basis.num_modes, basis.num_keypoints
-    modes = np.asarray(basis.modes, dtype=float).reshape(k, 3, p)
+    k = basis.num_modes
     c = np.zeros(k)
     shape = compose_shape(basis, c)
     s = max(float(s), 1e-12)
@@ -320,7 +319,7 @@ def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
 
         # coefficient block (weighted ridge least squares)
         if k > 0:
-            pmodes = s * (rbar @ modes)  # k x 2 x p
+            pmodes = s * (rbar @ basis.modes)  # k x 2 x p
             r0 = w - s * (rbar @ basis.b0) - tbar[:, None]
             gram = np.einsum("p,jap,lap->jl", d, pmodes, pmodes)
             rhs = np.einsum("p,jap,ap->j", d, pmodes, r0)

@@ -8,6 +8,8 @@ from kpfit import (
     load_basis,
     read_heatmaps,
     read_keypoints,
+    synthesize_heatmap,
+    write_heatmaps,
     write_keypoints,
     write_model,
     KeypointObservations,
@@ -174,6 +176,23 @@ class TestHeatmapCommands:
         peaks = read_keypoints(out_kp)
         assert np.allclose(peaks.w, obs.w)
         assert peaks.keypoint_names == obs.keypoint_names
+        # stdout carries the same bytes as --out
+        code, out, _ = run_cli(capsys, "peaks", "--heatmaps", str(hm_path))
+        assert code == 0
+        assert out.encode("utf-8") == out_kp.read_bytes()
+
+    def test_peaks_whitespace_name_is_an_error_line(self, tmp_path, capsys):
+        hm_path = tmp_path / "maps.kphm"
+        hm = synthesize_heatmap(8, 8, (3.0, 4.0), keypoint_name="left eye")
+        write_heatmaps([hm], hm_path)
+        out_kp = tmp_path / "peaks.txt"
+        for extra in ((), ("--out", str(out_kp))):
+            argv = ("peaks", "--heatmaps", str(hm_path), *extra)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("error:") and "whitespace" in err
+            assert len(err.splitlines()) == 1
+        assert not out_kp.exists()
 
     def test_peaks_scale_to(self, tmp_path, capsys):
         obs = KeypointObservations(np.array([[10.0], [5.0]]), np.ones(1))

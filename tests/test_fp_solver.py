@@ -20,6 +20,7 @@ from kpfit import (
     weighted_procrustes,
     wp_to_fp_init,
 )
+from kpfit.geometry import hat
 from kpfit.wp_solver import _cleaned_w
 from conftest import make_basis, make_fp_scene, random_rotation
 
@@ -68,6 +69,27 @@ class TestCostFp:
 
 
 class TestGradient:
+    def test_matches_per_mode_and_per_axis_loops(self, basis, intrinsics):
+        rng = np.random.default_rng(3)
+        obs = KeypointObservations(
+            rng.uniform(0.0, 640.0, (2, 12)), rng.uniform(0.1, 1.0, 12)
+        )
+        for _ in range(10):
+            rotation = random_rotation(rng)
+            translation = rng.normal(0.0, 1.0, 3)
+            c = rng.normal(size=2)
+            depths = rng.uniform(0.5, 5.0, 12)
+            _, g_c, _, g_omega = fp_cost_gradient(
+                obs, intrinsics, basis, rotation, translation, c, depths, 0.2
+            )
+            shape = compose_shape(basis, c)
+            wt = normalize_keypoints(obs.w, intrinsics)
+            wr = (wt * depths - rotation @ shape - translation[:, None]) * obs.d
+            loop_c = [-np.sum(wr * (rotation @ m)) for m in basis.modes] + 0.2 * c
+            loop_omega = [-np.sum(wr * (rotation @ hat(e) @ shape)) for e in np.eye(3)]
+            assert np.allclose(g_c, loop_c, rtol=1e-12, atol=1e-12)
+            assert np.allclose(g_omega, loop_omega, rtol=1e-12, atol=1e-12)
+
     def test_matches_central_differences(self, basis, intrinsics):
         rng = np.random.default_rng(2)
         obs = KeypointObservations(

@@ -164,3 +164,22 @@ class TestHeatmapFile:
         path.write_bytes(data[:-3])
         with pytest.raises(FormatError):
             read_heatmaps(path)
+
+    @pytest.mark.parametrize(
+        "offset, raw",
+        [
+            (16, struct.pack("<f", float("nan"))),
+            (16, struct.pack("<f", -1.0)),
+            (42, b"\xff\xfe"),  # inside the name "nose": not UTF-8
+        ],
+        ids=["nan-value", "negative-value", "name-not-utf8"],
+    )
+    def test_bad_content_raises_format_error(self, tmp_path, offset, raw):
+        maps = [Heatmap(np.ones((2, 3), dtype=np.float32), keypoint_name="nose")]
+        path = tmp_path / "bad.kphm"
+        write_heatmaps(maps, path)
+        data = bytearray(path.read_bytes())
+        data[offset : offset + len(raw)] = raw
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError):
+            read_heatmaps(path)

@@ -85,6 +85,9 @@ class TestKeypointFile:
             "KPTS v1 p=2\na 0 0 1\n",
             "KPTS v1 p=1\na 0 zero 1\n",
             "KPTS v1 p=1\na 0 0\n",
+            "KPTS v1 p=1\na 0 0 nan\n",
+            "KPTS v1 p=1\na 0 0 -1\n",
+            "KPTS v1 p=1\na nan 0 1\n",
         ],
     )
     def test_malformed_files(self, tmp_path, text):
@@ -115,6 +118,9 @@ class TestIntrinsicsFile:
         path.write_text("-800 800 320 240\n")
         with pytest.raises(FormatError):
             read_intrinsics(path)
+        path.write_text("800 800 nan 240\n")
+        with pytest.raises(FormatError):
+            read_intrinsics(path)
 
 
 class TestModelFile:
@@ -130,5 +136,8 @@ class TestModelFile:
     def test_malformed(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("MODEL v1 p=2\na 0 0 0\n")
+        with pytest.raises(FormatError):
+            read_model(path)
+        path.write_text("MODEL v1 p=0\n")
         with pytest.raises(FormatError):
             read_model(path)

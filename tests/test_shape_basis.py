@@ -113,6 +113,21 @@ class TestComposeShape:
             total_residual += np.sum((m - recon) ** 2)
         assert total_residual <= dropped + 1e-9
 
+    def test_matches_per_mode_loops(self, basis):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            c = rng.normal(size=basis.num_modes)
+            loop = basis.b0.copy()
+            for ci, mode in zip(c, basis.modes):
+                loop += ci * mode
+            assert np.allclose(compose_shape(basis, c), loop, rtol=1e-12, atol=1e-12)
+            shape = rng.normal(size=basis.b0.shape)
+            diff = (shape - basis.b0).ravel()
+            loop_c = [np.dot(diff, m.ravel()) for m in basis.modes]
+            assert np.allclose(
+                project_coefficients(basis, shape), loop_c, rtol=1e-12, atol=1e-12
+            )
+
     def test_dimension_mismatch(self, basis):
         with pytest.raises(ValueError):
             compose_shape(basis, np.zeros(3))
@@ -152,11 +167,28 @@ class TestVarianceExplained:
 
 
 class TestBasisInvariants:
-    def test_modes_unit_norm_and_orthogonal(self):
+    def test_modes_unit_norm_and_orthogonal(self, tmp_path):
         truth = make_basis(seed=19, p=7, k=2, eigenvalues=(0.1, 0.05))
         rebuilt = build_basis(generate_models(truth, 20, seed=20), k=2)
         m = mode_matrix(rebuilt)
         assert np.max(np.abs(m.T @ m - np.eye(2))) < 1e-9
+        # every source yields one (k, 3, p) float array, k = 0 included
+        mean_only = build_basis([truth.b0, truth.b0], k=1)
+        save_basis(rebuilt, tmp_path / "k2.txt")
+        save_basis(mean_only, tmp_path / "k0.txt")
+        for k, built in [
+            (2, rebuilt),
+            (2, load_basis(tmp_path / "k2.txt")),
+            (2, ShapeBasis("t", truth.b0, tuple(truth.modes), truth.eigenvalues)),
+            (2, ShapeBasis("a", truth.b0, truth.modes, truth.eigenvalues)),
+            (0, mean_only),
+            (0, load_basis(tmp_path / "k0.txt")),
+            (0, ShapeBasis("t", truth.b0, (), np.zeros(0))),
+            (0, ShapeBasis("a", truth.b0, np.zeros((0, 3, 7)), np.zeros(0))),
+        ]:
+            assert isinstance(built.modes, np.ndarray)
+            assert built.modes.dtype == float and built.modes.shape == (k, 3, 7)
+            assert built.num_modes == k
 
     def test_eigenvalues_descending(self):
         with pytest.raises(ValueError):
@@ -197,8 +229,16 @@ class TestBasisFile:
             ("mode 1 eigenvalue 0.089999999999999997", "mode 1 eigenvalue big"),
             # a mode that ShapeBasis rejects: not of unit norm
             ("-0.023703575596154547 ", "5.0 "),
+            ("mode 1 eigenvalue 0.089999999999999997", "mode 1 eigenvalue nan"),
+            ("0.54791209711192668 ", "nan "),
         ],
-        ids=["class-without-name", "non-numeric-eigenvalue", "mode-not-unit-norm"],
+        ids=[
+            "class-without-name",
+            "non-numeric-eigenvalue",
+            "mode-not-unit-norm",
+            "nan-eigenvalue",
+            "nan-in-mean-shape",
+        ],
     )
     def test_malformed_content_raises_format_error(self, tmp_path, edit):
         from kpfit import FormatError

@@ -18,6 +18,7 @@ from kpfit import (
     wp_cost_gradient,
 )
 from kpfit import wp_solver
+from kpfit.geometry import hat
 from conftest import make_basis, random_rotation
 
 
@@ -246,6 +247,21 @@ class TestSolveWp:
 
 
 class TestGradient:
+    def test_matches_per_mode_and_per_axis_loops(self, basis):
+        rng = np.random.default_rng(81)
+        obs = KeypointObservations(
+            rng.normal(0.0, 5.0, (2, 12)), rng.uniform(0.1, 1.0, 12)
+        )
+        for seed in range(10):
+            s, c, rbar, tbar = random_theta(basis, 300 + seed)
+            _, g_c, _, g_omega = wp_cost_gradient(obs, basis, s, c, rbar, tbar, 0.3)
+            shape = compose_shape(basis, c)
+            wr = (obs.w - s * (rbar @ shape) - tbar[:, None]) * obs.d
+            loop_c = [-s * np.sum(wr * (rbar @ m)) for m in basis.modes] + 0.3 * c
+            loop_omega = [-s * np.sum(wr * (rbar @ hat(e) @ shape)) for e in np.eye(3)]
+            assert np.allclose(g_c, loop_c, rtol=1e-12, atol=1e-12)
+            assert np.allclose(g_omega, loop_omega, rtol=1e-12, atol=1e-12)
+
     def test_matches_central_differences(self, basis):
         rng = np.random.default_rng(80)
         obs = KeypointObservations(
@@ -359,3 +375,25 @@ class TestRotationBlock:
                 assert rows_cost(w, d, s, shape, tbar, rbar) == pytest.approx(
                     best_cost, rel=1e-9
                 )
+
+
+def test_rotation_block_at_its_solution_needs_no_completion_pass(basis, monkeypatch):
+    # at the block's minimizer a Newton step can raise the cost only by
+    # rounding; that ends the call instead of paying for a fallback SVD
+    calls = []
+    exact = wp_solver.rotation_from_cross_covariance
+
+    def counting(cross_cov):
+        calls.append(1)
+        return exact(cross_cov)
+
+    monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
+    for seed in range(20):
+        w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 600 + seed)
+        solved = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+        calls.clear()
+        again = wp_solver._update_rbar(w, d, s, shape, tbar, solved)
+        assert not calls
+        assert rows_cost(w, d, s, shape, tbar, again) <= rows_cost(
+            w, d, s, shape, tbar, solved
+        ) * (1.0 + 1e-14)
