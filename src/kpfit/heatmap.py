@@ -119,15 +119,15 @@ def write_heatmaps(maps, path):
             raise FormatError("heatmap dimensions exceed the format limit")
     else:
         h = w = 0
+    names = [hm.keypoint_name.encode("utf-8") for hm in maps]
+    if any(len(name) > 0xFFFF for name in names):
+        raise FormatError("keypoint name too long for the format")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<HHII", VERSION, len(maps), w, h))
         for hm in maps:
             fh.write(hm.values.astype("<f4").tobytes(order="C"))
-        for hm in maps:
-            name = hm.keypoint_name.encode("utf-8")
-            if len(name) > 0xFFFF:
-                raise FormatError("keypoint name too long for the format")
+        for name in names:
             fh.write(struct.pack("<H", len(name)))
             fh.write(name)
 

@@ -106,10 +106,10 @@ def build_basis(
     models = [np.asarray(m, dtype=float) for m in models]
     if len(models) < 2:
         raise ValueError("need at least 2 training models")
-    p = models[0].shape[1]
+    p = models[0].shape[1] if models[0].ndim == 2 else 0
     for m in models:
-        if m.shape != (3, p):
-            raise ValueError("all models must be 3xp with identical p")
+        if p < 1 or m.shape != (3, p):
+            raise ValueError("all models must be 3xp with identical p >= 1")
         if not np.all(np.isfinite(m)):
             raise ValueError("model coordinates must be finite")
     if k is None and not (0.0 < variance_fraction <= 1.0):

@@ -8,9 +8,10 @@ regularizer. Every block is an exact minimizer, so the cost never rises:
 - scale, shape coefficients and offset are weighted least-squares solves;
 - the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3),
   whose gradient and Hessian need only the 2x3 and 3x3 moments of the
-  data. A step is kept only when the Hessian is positive definite and the
-  cost does not rise; a rise within the stopping tolerance ends the block
-  as solved. Otherwise the step is one Procrustes pass on the
+  data. The moments are formed once per block; the steps are plain float
+  arithmetic on them, with no array call. A step is kept only when the
+  Hessian is positive definite and the cost does not rise; a rise within
+  the stopping tolerance ends the block as solved. Otherwise the step is one Procrustes pass on the
   cross-covariance completed with the missing third image row (Kiers,
   Psychometrika 1990), which cannot raise the cost either.
 """
@@ -18,12 +19,13 @@ regularizer. Every block is an exact minimizer, so the cost never rises:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
-from .geometry import hat, lift_stiefel, rotation_from_cross_covariance, so3_exp
+from .geometry import check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance
 from .shape_basis import compose_shape
 
 logger = logging.getLogger(__name__)
@@ -224,66 +226,133 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
 
 
+def _rows_moments(w, d, s, shape, tbar):
+    """sum_i d_i |a_i|^2, N = sum_i d_i a_i b_i^T (2x3) and M = sum_i d_i b_i b_i^T
+    (3x3) for a_i = w_i - tbar and b_i = s S_i, as a float and nested lists."""
+    ab = np.concatenate([w - tbar[:, None], s * shape])
+    g = (ab @ (ab * d).T).tolist()
+    return g[0][0] + g[1][1], [row[2:] for row in g[:2]], [row[2:] for row in g[2:]]
+
+
+def _moment_cost(sa, n, m, rows):
+    """sum_i d_i |a_i - rbar b_i|^2 = sa - 2 tr(rbar^T N) + tr(rbar M rbar^T) for
+    rbar = ``rows[:2]``, which on SO(3) is sa + tr M - 2 tr(rbar^T N) - u^T M u."""
+    return sa + _cost_change(n, m, [[0.0] * 3] * 2, rows)
+
+
+def _cost_change(n, m, rows, new):
+    """_moment_cost at ``new`` minus at ``rows``, in which sa cancels: with
+    delta = rbar' - rbar it is tr(delta (M (rbar' + rbar)^T - 2 N^T))."""
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    change = 0.0
+    for (x0, x1, x2), (y0, y1, y2), (n0, n1, n2) in zip(new, rows, n):
+        s0, s1, s2 = x0 + y0, x1 + y1, x2 + y2
+        change += (
+            (x0 - y0) * (m00 * s0 + m01 * s1 + m02 * s2 - 2.0 * n0)
+            + (x1 - y1) * (m01 * s0 + m11 * s1 + m12 * s2 - 2.0 * n1)
+            + (x2 - y2) * (m02 * s0 + m12 * s1 + m22 * s2 - 2.0 * n2)
+        )
+    return change
+
+
+def _newton_rotation(n, m, rows, mu):
+    """R exp(hat(omega)) for the Newton step omega of the cost at R = ``rows``,
+    or None when the Hessian is not positive definite (a Cholesky pivot <= 0).
+
+    For omega -> cost(R exp(hat(omega))) at 0 the gradient is
+    2 (r1 x n1 + r2 x n2 + u x mu) and, as |u| = 1, the Hessian is
+    2 (tr Y - u.mu) I + 2 M - Y - Y^T with Y = R^T [n1; n2; 3 mu - tr(M) u].
+    """
+    (a0, a1, a2), (b0, b1, b2), (u0, u1, u2) = rows
+    (p0, p1, p2), (q0, q1, q2) = n
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    v0, v1, v2 = mu
+    g0 = 2.0 * (a1 * p2 - a2 * p1 + b1 * q2 - b2 * q1 + u1 * v2 - u2 * v1)
+    g1 = 2.0 * (a2 * p0 - a0 * p2 + b2 * q0 - b0 * q2 + u2 * v0 - u0 * v2)
+    g2 = 2.0 * (a0 * p1 - a1 * p0 + b0 * q1 - b1 * q0 + u0 * v1 - u1 * v0)
+    trm = m00 + m11 + m22
+    z0, z1, z2 = 3.0 * v0 - trm * u0, 3.0 * v1 - trm * u1, 3.0 * v2 - trm * u2
+    y00 = a0 * p0 + b0 * q0 + u0 * z0
+    y11 = a1 * p1 + b1 * q1 + u1 * z1
+    y22 = a2 * p2 + b2 * q2 + u2 * z2
+    diag = 2.0 * (y00 + y11 + y22 - u0 * v0 - u1 * v1 - u2 * v2)
+    h00 = diag + 2.0 * (m00 - y00)
+    h11 = diag + 2.0 * (m11 - y11)
+    h22 = diag + 2.0 * (m22 - y22)
+    h10 = 2.0 * m01 - a1 * p0 - a0 * p1 - b1 * q0 - b0 * q1 - u1 * z0 - u0 * z1
+    h20 = 2.0 * m02 - a2 * p0 - a0 * p2 - b2 * q0 - b0 * q2 - u2 * z0 - u0 * z2
+    h21 = 2.0 * m12 - a2 * p1 - a1 * p2 - b2 * q1 - b1 * q2 - u2 * z1 - u1 * z2
+    # Cholesky factor L of H, then omega = -L^-T L^-1 g
+    if not h00 > 0.0:
+        return None
+    l00 = math.sqrt(h00)
+    l10, l20 = h10 / l00, h20 / l00
+    pivot = h11 - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (h21 - l20 * l10) / l11
+    pivot = h22 - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    f0 = g0 / l00
+    f1 = (g1 - l10 * f0) / l11
+    w2 = -(g2 - l20 * f0 - l21 * f1) / l22 / l22
+    w1 = -(f1 + l21 * w2) / l11
+    w0 = -(f0 + l10 * w1 + l20 * w2) / l00
+    # Rodrigues: r exp(hat(w)) = r + a r x w + b ((r.w) w - theta^2 r)
+    theta2 = w0 * w0 + w1 * w1 + w2 * w2
+    theta = math.sqrt(theta2)
+    if theta < 1e-8:
+        a, b = 1.0, 0.5  # second-order series, accurate to ~1e-16 at this scale
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    c = 1.0 - b * theta2
+    new = []
+    for r0, r1, r2 in rows:
+        rw = b * (r0 * w0 + r1 * w1 + r2 * w2)
+        new.append(
+            [
+                c * r0 + a * (r1 * w2 - r2 * w1) + rw * w0,
+                c * r1 + a * (r2 * w0 - r0 * w2) + rw * w1,
+                c * r2 + a * (r0 * w1 - r1 * w0) + rw * w2,
+            ]
+        )
+    return new
+
+
 def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
     """Exact minimizer of the 2D cost over the orthonormal rows, all else fixed.
 
     With a_i = w_i - tbar, b_i = s S_i and R = [rbar; u] (u = r1 x r2), the
-    cost sum_i d_i |a_i - rbar b_i|^2 equals const - 2 tr(R^T N) - u^T M u,
-    where N = [sum_i d_i a_i b_i^T; 0] and M = sum_i d_i b_i b_i^T, so each
-    step needs only 3x3 algebra. A step is a safeguarded Newton step (see the
-    module docstring) or else one completion pass: the Procrustes rotation of
-    the cross-covariance [N; u^T M], which fills in the missing image row
-    with u^T b_i.
+    cost sum_i d_i |a_i - rbar b_i|^2 depends on the data only through the
+    moments of _rows_moments, so the step loop is plain float arithmetic on
+    them. A step is a safeguarded Newton step (see the module docstring) or
+    else one completion pass: the Procrustes rotation of the cross-covariance
+    [N; u^T M], which fills in the missing image row with u^T b_i. Steps are
+    compared by their cost change, in which sum_i d_i |a_i|^2 cancels exactly.
     """
-    a = w - tbar[:, None]
-    b = s * shape
-    db = b * d
-    n = np.zeros((3, 3))
-    n[:2] = a @ db.T
-    m = b @ db.T
-    rot = lift_stiefel(rbar)
-
-    def cost(r):
-        return float(np.sum(d * np.sum((a - r[:2] @ b) ** 2, axis=0)))
-
-    current = cost(rot)
+    (a0, a1, a2), (b0, b1, b2) = rows = check_stiefel_rows(rbar).tolist()
+    rows.append([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    sa, n, m = _rows_moments(w, d, s, shape, tbar)
+    current = _moment_cost(sa, n, m, rows)
     for _ in range(max_steps):
+        u0, u1, u2 = rows[2]
+        mu = [mr[0] * u0 + mr[1] * u1 + mr[2] * u2 for mr in m]
+        new = _newton_rotation(n, m, rows, mu)
+        if new is not None:
+            change = _cost_change(n, m, rows, new)
+            if 0.0 < change <= 1e-14 * max(current, 1.0):
+                break  # a Newton step rejected only by rounding: the block is solved
+        if new is None or change > 0.0:
+            new = rotation_from_cross_covariance(np.array([n[0], n[1], mu])).tolist()
+            change = _cost_change(n, m, rows, new)
         prev = current
-        # gradient and Hessian of omega -> cost(R exp(hat(omega))) at omega = 0
-        u = rot[2]
-        mu = m @ u
-        hu = hat(u)
-        x = rot.T @ n
-        grad = 2.0 * (hu @ mu) - 2.0 * np.array(
-            [x[2, 1] - x[1, 2], x[0, 2] - x[2, 0], x[1, 0] - x[0, 1]]
-        )
-        mu_u = np.outer(mu, u)
-        hess = (
-            2.0 * (np.trace(x) + u @ mu) * np.eye(3)
-            - (x + x.T)
-            - 2.0 * (hu.T @ m @ hu)
-            - (mu_u + mu_u.T)
-        )
-        step = None
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            pass  # not positive definite: no Newton step
-        else:
-            step = rot @ so3_exp(-np.linalg.solve(hess, grad))
-            step_cost = cost(step)
-        if step is not None and step_cost <= current:
-            rot, current = step, step_cost
-        elif step is not None and step_cost - current <= 1e-14 * max(current, 1.0):
-            break  # a Newton step rejected only by rounding: the block is solved
-        else:
-            n[2] = mu
-            rot = rotation_from_cross_covariance(n)
-            n[2] = 0.0
-            current = cost(rot)
-        if prev - current <= 1e-14 * max(prev, 1.0):
+        rows, current = new, current + change
+        if -change <= 1e-14 * max(prev, 1.0):
             break
-    return rot[:2]
+    return np.array(rows[:2])
 
 
 def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
@@ -296,8 +365,8 @@ def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
     def cost():
         return _wp_cost(w, d, s, shape, c, rbar, tbar, lam)
 
-    block_costs = [cost()] if opts.record_block_costs else None
     current = cost()
+    block_costs = [current] if opts.record_block_costs else None
     iterations = 0
     converged = False
 

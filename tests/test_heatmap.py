@@ -135,6 +135,21 @@ class TestHeatmapFile:
         write_heatmaps([], path)
         assert read_heatmaps(path) == []
 
+    def test_overlong_name_writes_no_file(self, tmp_path):
+        maps = [
+            Heatmap(np.ones((2, 3), dtype=np.float32), keypoint_name="nose"),
+            Heatmap(np.ones((2, 3), dtype=np.float32), keypoint_name="x" * 0x10000),
+        ]
+        path = tmp_path / "long.kphm"
+        with pytest.raises(FormatError):
+            write_heatmaps(maps, path)
+        assert not path.exists()
+        write_heatmaps(maps[:1], path)
+        kept = path.read_bytes()
+        with pytest.raises(FormatError):
+            write_heatmaps(maps, path)
+        assert path.read_bytes() == kept
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.kphm"
         path.write_bytes(b"NOPE" + b"\x00" * 12)

@@ -76,6 +76,15 @@ class TestBuildBasis:
         with pytest.raises(ValueError):
             build_basis([good, good], variance_fraction=1.5)
 
+    @pytest.mark.parametrize(
+        "first",
+        [np.zeros(0), np.zeros(3), np.zeros((3, 0))],
+        ids=["(0,)", "(3,)", "(3,0)"],
+    )
+    def test_models_that_are_not_3xp_raise_value_error(self, first):
+        with pytest.raises(ValueError, match="3xp"):
+            build_basis([first, np.ones((3, 4))])
+
 
 class TestComposeShape:
     def test_zero_coefficients(self, basis):

@@ -224,6 +224,44 @@ class TestSolveWp:
         assert np.max(np.abs(est1.rbar - est2.rbar)) < 1e-9
         assert np.max(np.abs(est1.c - est2.c)) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pixel_shift_moves_only_the_offset(self, basis, seed):
+        obs, _ = make_wp_obs(basis, 900 + seed, coeff_scale=0.5)
+        rng = np.random.default_rng(910 + seed)
+        w = obs.w + rng.normal(0.0, 0.002, obs.w.shape)
+        d = rng.uniform(0.2, 1.0, obs.num_keypoints)
+        shift = rng.normal(0.0, 3.0, 2)
+        est1 = solve_wp(KeypointObservations(w, d), basis)
+        est2 = solve_wp(KeypointObservations(w + shift[:, None], d), basis)
+        assert np.max(np.abs(est2.tbar - est1.tbar - shift)) < 1e-8
+        assert est2.s == pytest.approx(est1.s, abs=1e-8)
+        assert np.max(np.abs(est2.c - est1.c)) < 1e-8
+        assert np.max(np.abs(est2.rbar - est1.rbar)) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_confidence_scale_leaves_the_argmin(self, basis, seed):
+        # the cost scales by alpha when the confidences, the ridge weight and
+        # the spectral-norm weight of the initialization all do
+        obs, _ = make_wp_obs(basis, 920 + seed, coeff_scale=0.5)
+        rng = np.random.default_rng(930 + seed)
+        w = obs.w + rng.normal(0.0, 0.002, obs.w.shape)
+        d = rng.uniform(0.2, 1.0, obs.num_keypoints)
+        alpha = rng.uniform(0.01, 100.0)
+        lam, mu = 0.05, wp_solver.default_mu(w, d)
+        est1 = solve_wp(
+            KeypointObservations(w, d), basis, SolverOptions(lam=lam, mu=mu)
+        )
+        est2 = solve_wp(
+            KeypointObservations(w, alpha * d),
+            basis,
+            SolverOptions(lam=alpha * lam, mu=alpha * mu),
+        )
+        assert est2.final_cost == pytest.approx(alpha * est1.final_cost, rel=1e-10)
+        assert est2.s == pytest.approx(est1.s, abs=1e-8)
+        assert np.max(np.abs(est2.c - est1.c)) < 1e-8
+        assert np.max(np.abs(est2.rbar - est1.rbar)) < 1e-8
+        assert np.max(np.abs(est2.tbar - est1.tbar)) < 1e-8
+
     def test_too_few_points(self, basis):
         obs, _ = make_wp_obs(basis, 60)
         d = np.zeros(obs.num_keypoints)
@@ -325,6 +363,69 @@ def rows_cost(w, d, s, shape, tbar, rbar):
     return float(np.sum(d * np.sum((w - tbar[:, None] - s * (rbar @ shape)) ** 2, axis=0)))
 
 
+def numpy_update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
+    """Reference rotation block: the same safeguarded Newton steps and
+    completion passes as wp_solver._update_rbar, written with numpy 3x3
+    arrays and with every cost summed over the keypoints."""
+    a = w - tbar[:, None]
+    b = s * shape
+    db = b * d
+    n = np.zeros((3, 3))
+    n[:2] = a @ db.T
+    m = b @ db.T
+    rot = lift_stiefel(rbar)
+
+    def cost(r):
+        return float(np.sum(d * np.sum((a - r[:2] @ b) ** 2, axis=0)))
+
+    current = cost(rot)
+    for _ in range(max_steps):
+        prev = current
+        u = rot[2]
+        mu = m @ u
+        hu = hat(u)
+        x = rot.T @ n
+        grad = 2.0 * (hu @ mu) - 2.0 * np.array(
+            [x[2, 1] - x[1, 2], x[0, 2] - x[2, 0], x[1, 0] - x[0, 1]]
+        )
+        mu_u = np.outer(mu, u)
+        hess = (
+            2.0 * (np.trace(x) + u @ mu) * np.eye(3)
+            - (x + x.T)
+            - 2.0 * (hu.T @ m @ hu)
+            - (mu_u + mu_u.T)
+        )
+        step = None
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            step = rot @ so3_exp(-np.linalg.solve(hess, grad))
+            step_cost = cost(step)
+        if step is not None and step_cost <= current:
+            rot, current = step, step_cost
+        elif step is not None and step_cost - current <= 1e-14 * max(current, 1.0):
+            break
+        else:
+            n[2] = mu
+            rot = wp_solver.rotation_from_cross_covariance(n)
+            n[2] = 0.0
+            current = cost(rot)
+        if prev - current <= 1e-14 * max(prev, 1.0):
+            break
+    return rot[:2]
+
+
+def rotation_block_starts(basis, seed):
+    """A scene from rotation_block_scene with its random start and three
+    starts about 176 degrees from the block's minimizer."""
+    w, d, s, c, shape, tbar, start = rotation_block_scene(basis, seed)
+    best = numpy_update_rbar(w, d, s, shape, tbar, start)
+    far = [(lift_stiefel(best) @ so3_exp(0.98 * np.pi * e))[:2] for e in np.eye(3)]
+    return (w, d, s, shape, tbar), [start] + far
+
+
 class TestRotationBlock:
     def test_reaches_stationary_point(self, basis):
         for seed in range(20):
@@ -397,3 +498,33 @@ def test_rotation_block_at_its_solution_needs_no_completion_pass(basis, monkeypa
         assert rows_cost(w, d, s, shape, tbar, again) <= rows_cost(
             w, d, s, shape, tbar, solved
         ) * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("seed", [300, 400, 500, 600])
+def test_rotation_block_matches_numpy_reference(basis, seed):
+    for offset in range(5):
+        scene, starts = rotation_block_starts(basis, seed + offset)
+        for start in starts:
+            # one step (Newton or completion pass) is the same arithmetic
+            one = wp_solver._update_rbar(*scene, start, max_steps=1)
+            assert np.max(np.abs(one - numpy_update_rbar(*scene, start, 1))) <= 1e-12
+            ref = numpy_update_rbar(*scene, start)
+            rbar = wp_solver._update_rbar(*scene, start)
+            assert rows_cost(*scene, rbar) == pytest.approx(
+                rows_cost(*scene, ref), rel=1e-12
+            )
+            # Near the minimizer a last Newton step of up to ~1e-8 in the rows
+            # changes the cost by less than its rounding, so whether that step
+            # is kept is decided by rounding, differently in the two versions.
+            assert np.max(np.abs(rbar - ref)) <= 1e-8
+
+
+def test_moment_cost_matches_keypoint_sum(basis):
+    for seed in range(300, 320):
+        scene, starts = rotation_block_starts(basis, seed)
+        moments = wp_solver._rows_moments(*scene)
+        for start in starts:
+            rows = lift_stiefel(start).tolist()
+            assert wp_solver._moment_cost(*moments, rows) == pytest.approx(
+                rows_cost(*scene, start), rel=1e-10
+            )
