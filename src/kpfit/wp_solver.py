@@ -3,17 +3,20 @@
 The weighted, Tikhonov-regularized cost is minimized by block coordinate
 descent, initialized from a convex relaxation that fixes the shape to the
 mean and replaces the row-orthonormality constraint with a spectral-norm
-regularizer. Every block is an exact minimizer, so the cost never rises:
+regularizer (Zhou, Leonardos, Hu & Daniilidis, CVPR 2015). Both stages see
+the keypoints only through weighted moments formed once per fit: the
+relaxation through those of the centred rows [W; B0], the descent through
+the Gram of [W; B0; B_1 .. B_k]. Every step is a contraction of these with
+the current coefficients and rows, so no step passes over the keypoints.
+Every block is an exact minimizer, so the cost never rises:
 
 - scale, shape coefficients and offset are weighted least-squares solves;
-- the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3),
-  whose gradient and Hessian need only the 2x3 and 3x3 moments of the
-  data. The moments are formed once per block; the steps are plain float
-  arithmetic on them, with no array call. A step is kept only when the
-  Hessian is positive definite and the cost does not rise; a rise within
-  the stopping tolerance ends the block as solved. Otherwise the step is one Procrustes pass on the
-  cross-covariance completed with the missing third image row (Kiers,
-  Psychometrika 1990), which cannot raise the cost either.
+- the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3) in
+  plain float arithmetic on their 2x3 and 3x3 moments. A step is kept only
+  when the Hessian is positive definite and the cost does not rise; a rise
+  within the stopping tolerance ends the block as solved. Otherwise the step
+  is one Procrustes pass on the cross-covariance completed with the missing
+  third image row (Kiers, Psychometrika 1990), which cannot raise the cost.
 """
 
 from __future__ import annotations
@@ -154,16 +157,35 @@ def wp_cost_gradient(obs, basis, s, c, rbar, tbar, lam):
     return g_s, g_c, g_tbar, g_omega
 
 
-def _prox_spectral(m, t):
-    """Proximal operator of t * (spectral norm) for a 2x3 matrix."""
-    u, sv, vt = np.linalg.svd(m, full_matrices=False)
-    s1, s2 = sv
-    if s1 - t >= s2:
-        new = np.array([s1 - t, s2])
+def _prox_spectral(y, t):
+    """Proximal operator of t * (spectral norm) at a 2x3 matrix ``y`` (nested
+    lists); returns the result and its largest singular value.
+
+    With K = y y^T, s1^2 is the larger eigenvalue of K and s1 s2 = |y1 x y2|
+    (Cauchy-Binet), which keeps a small s2 accurate. Shrinking s1 alone
+    subtracts (t / s1) P y with P = (K - s2^2 I) / (s1^2 - s2^2); the tied
+    branch scales K^(-1/2) y = ((s1^2 + s1 s2 + s2^2) I - K) y / (s1 s2 (s1 + s2)).
+    """
+    (a0, a1, a2), (b0, b1, b2) = y
+    kaa = a0 * a0 + a1 * a1 + a2 * a2
+    kab = a0 * b0 + a1 * b1 + a2 * b2
+    kbb = b0 * b0 + b1 * b1 + b2 * b2
+    s1 = math.sqrt(0.5 * (kaa + kbb + math.hypot(kaa - kbb, 2.0 * kab)))
+    cross = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    s2 = cross / s1 if s1 > 0.0 else 0.0
+    if s1 - s2 >= t:  # not s1 - t >= s2, which holds for s1 = s2 and t < ulp(s1)
+        f = t / (s1 * (s1 - s2) * (s1 + s2)) if t > 0.0 else 0.0
+        l00, l01, l11 = 1.0 - f * (kaa - s2 * s2), -f * kab, 1.0 - f * (kbb - s2 * s2)
+        top = s1 - t
     else:
-        tied = max(0.0, (s1 + s2 - t) / 2.0)
-        new = np.array([tied, tied])
-    return (u * new) @ vt
+        top = max(0.0, 0.5 * (s1 + s2 - t))  # > 0 only if s2 > 0
+        f = top / (s1 * s2 * (s1 + s2)) if top > 0.0 else 0.0
+        q = s1 * s1 + s1 * s2 + s2 * s2
+        l00, l01, l11 = f * (q - kaa), -f * kab, f * (q - kbb)
+    return [
+        [l00 * a0 + l01 * b0, l00 * a1 + l01 * b1, l00 * a2 + l01 * b2],
+        [l01 * a0 + l11 * b0, l01 * a1 + l11 * b1, l01 * a2 + l11 * b2],
+    ], top
 
 
 def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
@@ -174,6 +196,10 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     in closed form, then factors M into scale and orthonormal rows. Returns
     both reflection-consistent candidates as a list of (s, rbar, tbar) tuples
     ranked by the unrelaxed cost at c = 0.
+
+    With G = Bc D Bc^T and C = Wc D Bc^T from the centred rows, the gradient
+    is M G - C; steps run on floats and are compared by their exact change
+    <M' - M, (M' + M) G / 2 - C> + mu (||M'||_2 - ||M||_2).
     """
     d = np.asarray(obs.d, dtype=float)
     dsum = d.sum()
@@ -181,45 +207,44 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
         raise InsufficientConstraintsError("all keypoint confidences are zero")
     if np.count_nonzero(d > 0.0) < 3:
         raise InsufficientConstraintsError("need at least 3 weighted keypoints")
-    w = _cleaned_w(obs)
-    b0 = np.asarray(b0, dtype=float)
-
-    wbar = w @ d / dsum
-    bbar = b0 @ d / dsum
-    wc = w - wbar[:, None]
-    bc = b0 - bbar[:, None]
-    gram = bc @ (d[:, None] * bc.T)
-    eigs = np.linalg.eigvalsh(gram)
+    rows = np.concatenate([_cleaned_w(obs), np.asarray(b0, dtype=float)])
+    mean = rows @ d / dsum
+    centred = rows - mean[:, None]
+    moments = centred @ (centred * d).T
+    eigs = np.linalg.eigvalsh(moments[2:, 2:])
     if eigs[-1] <= 0.0 or eigs[1] <= 1e-12 * eigs[-1]:
         raise DegenerateGeometryError("mean shape is (near-)collinear")
     step = 1.0 / eigs[-1]
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = moments[2:, 2:].tolist()
+    cov = moments[:2, 2:].tolist()
 
-    m = np.zeros((2, 3))
-
-    def objective(mm):
-        r = wc - mm @ bc
-        return 0.5 * np.sum(d * np.sum(r**2, axis=0)) + mu * np.linalg.svd(
-            mm, compute_uv=False
-        )[0]
-
-    prev = objective(m)
+    m = mg = [[0.0] * 3] * 2  # M and M G
+    norm = 0.0  # ||M||_2
+    current = 0.5 * float(moments[0, 0] + moments[1, 1])
     for _ in range(max_iterations):
-        grad = ((m @ bc - wc) * d) @ bc.T
-        m = _prox_spectral(m - step * grad, step * mu)
-        cur = objective(m)
-        if prev - cur < tol * max(prev, 1e-300):
+        y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
+        new, new_norm = _prox_spectral(y, step * mu)
+        new_g = [[x0 * g00 + x1 * g01 + x2 * g02, x0 * g01 + x1 * g11 + x2 * g12,
+                  x0 * g02 + x1 * g12 + x2 * g22] for x0, x1, x2 in new]
+        change = mu * (new_norm - norm) + sum(
+            (x1 - x0) * (0.5 * (g1 + g0) - c)
+            for r in zip(new, m, new_g, mg, cov)
+            for x1, x0, g1, g0, c in zip(*r)
+        )
+        m, mg, norm = new, new_g, new_norm
+        prev, current = current, current + change
+        if -change < tol * max(prev, 1e-300):
             break
-        prev = cur
 
-    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    u, sv, vt = np.linalg.svd(np.array(m), full_matrices=False)
     s_est = float((sv[0] + sv[1]) / 2.0)
     rbar_a = u @ vt
     rbar_b = rbar_a @ np.diag([1.0, 1.0, -1.0])
 
     candidates = []
     for rbar in (rbar_a, rbar_b):
-        tbar = wbar - s_est * (rbar @ bbar)
-        resid = wc - s_est * (rbar @ bc)  # offset eliminated at weighted means
+        tbar = mean[:2] - s_est * (rbar @ mean[2:])
+        resid = centred[:2] - s_est * (rbar @ centred[2:])  # offset at weighted means
         cost = 0.5 * np.sum(d * np.sum(resid**2, axis=0))
         candidates.append((cost, s_est, rbar, tbar))
     candidates.sort(key=lambda t: t[0])
@@ -322,21 +347,16 @@ def _newton_rotation(n, m, rows, mu):
     return new
 
 
-def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
-    """Exact minimizer of the 2D cost over the orthonormal rows, all else fixed.
-
-    With a_i = w_i - tbar, b_i = s S_i and R = [rbar; u] (u = r1 x r2), the
-    cost sum_i d_i |a_i - rbar b_i|^2 depends on the data only through the
-    moments of _rows_moments, so the step loop is plain float arithmetic on
-    them. A step is a safeguarded Newton step (see the module docstring) or
-    else one completion pass: the Procrustes rotation of the cross-covariance
-    [N; u^T M], which fills in the missing image row with u^T b_i. Steps are
-    compared by their cost change, in which sum_i d_i |a_i|^2 cancels exactly.
-    """
+def _rotation_rows(rbar):
+    """Validated ``rbar`` with u = r1 x r2 appended, as nested lists."""
     (a0, a1, a2), (b0, b1, b2) = rows = check_stiefel_rows(rbar).tolist()
-    rows.append([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    sa, n, m = _rows_moments(w, d, s, shape, tbar)
-    current = _moment_cost(sa, n, m, rows)
+    return rows + [[a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]]
+
+
+def _solve_rows(sa, n, m, rows, max_steps=50):
+    """The step loop of _update_rbar on its moments from the rotation ``rows``;
+    returns the final rows and the summed change of the cost."""
+    current, total = _moment_cost(sa, n, m, rows), 0.0
     for _ in range(max_steps):
         u0, u1, u2 = rows[2]
         mu = [mr[0] * u0 + mr[1] * u1 + mr[2] * u2 for mr in m]
@@ -349,63 +369,94 @@ def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
             new = rotation_from_cross_covariance(np.array([n[0], n[1], mu])).tolist()
             change = _cost_change(n, m, rows, new)
         prev = current
-        rows, current = new, current + change
+        rows, current, total = new, current + change, total + change
         if -change <= 1e-14 * max(prev, 1.0):
             break
-    return np.array(rows[:2])
+    return rows, total
 
 
-def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
-    dsum = d.sum()
-    k = basis.num_modes
-    c = np.zeros(k)
-    shape = compose_shape(basis, c)
-    s = max(float(s), 1e-12)
+def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
+    """Exact minimizer of the 2D cost over the orthonormal rows, all else fixed.
 
-    def cost():
-        return _wp_cost(w, d, s, shape, c, rbar, tbar, lam)
+    With a_i = w_i - tbar, b_i = s S_i and R = [rbar; u] (u = r1 x r2), the
+    cost sum_i d_i |a_i - rbar b_i|^2 depends on the data only through the
+    moments of _rows_moments, so the step loop is plain float arithmetic on
+    them. A step is a safeguarded Newton step (see the module docstring) or
+    else one completion pass: the Procrustes rotation of the cross-covariance
+    [N; u^T M], which fills in the missing image row with u^T b_i. Steps are
+    compared by their cost change, in which sum_i d_i |a_i|^2 cancels exactly.
+    """
+    moments = _rows_moments(w, d, s, shape, tbar)
+    return np.array(_solve_rows(*moments, _rotation_rows(rbar), max_steps)[0][:2])
 
-    current = cost()
+
+def _bcd_wp(w, d, moments, basis, s, rbar, tbar, lam, opts):
+    """Block descent from one start on the moments of solve_wp. With gamma =
+    (1, c) the shape is sum_j gamma_j B_j (B_0 = b0), so the moments Q_jl of
+    B_j B_l^T enter as <rbar^T rbar, Q_jl>, those of w B_j^T as <rbar, Q_wj>.
+    The offset t is kept relative to wbar. The stopping rule reads the sum of
+    the blocks' exact decreases, each written without cancellation."""
+    wbar, sww, qwm, qmm, rm = moments
+    dsum, k = d.sum(), basis.num_modes
+    c, gamma, eye = np.zeros(k), np.eye(k + 1)[0], np.eye(k)
+    rows = _rotation_rows(rbar)
+    s, t = max(float(s), 1e-12), np.asarray(tbar, dtype=float) - wbar
+
+    def cost(shape):
+        return _wp_cost(w, d, s, shape, c, rbar, wbar + t, lam)
+
+    current = cost(basis.b0)
     block_costs = [current] if opts.record_block_costs else None
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
 
     def record():
         if block_costs is not None:
-            block_costs.append(cost())
+            block_costs.append(cost(compose_shape(basis, c)))
 
     for iterations in range(1, opts.max_iterations + 1):
-        prev = current
+        rp = rbar.T @ rbar
+        h = (qmm @ rp.ravel()).reshape(k + 1, k + 1)  # <rbar^T rbar, Q_jl>
+        wr = qwm @ rbar.ravel() - rm @ (rbar.T @ t)  # <rbar, Q_wj> - t.rbar r_j
 
         # scale block (closed-form weighted least squares)
-        proj = rbar @ shape
-        den = float(np.sum(d * np.sum(proj**2, axis=0)))
+        den, num = float(gamma @ h @ gamma), float(gamma @ wr)
         if den <= 0.0:
             raise DegenerateGeometryError("projected shape collapsed to a point")
-        num = float(np.sum(d * np.sum((w - tbar[:, None]) * proj, axis=0)))
-        s = max(num / den, 1e-12)
+        s_new = max(num / den, 1e-12)
+        decrease = (s - s_new) * (0.5 * den * (s + s_new) - num)
+        s = s_new
         record()
 
         # coefficient block (weighted ridge least squares)
         if k > 0:
-            pmodes = s * (rbar @ basis.modes)  # k x 2 x p
-            r0 = w - s * (rbar @ basis.b0) - tbar[:, None]
-            gram = np.einsum("p,jap,lap->jl", d, pmodes, pmodes)
-            rhs = np.einsum("p,jap,ap->j", d, pmodes, r0)
-            c = np.linalg.solve(gram + lam * np.eye(k), rhs)
-            shape = compose_shape(basis, c)
+            a = s * s * h[1:, 1:] + lam * eye
+            rhs = s * (wr[1:] - s * h[1:, 0])
+            c_new = np.linalg.solve(a, rhs)
+            decrease += float((c - c_new) @ (0.5 * (a @ (c + c_new)) - rhs))
+            c = gamma[1:] = c_new
             record()
 
+        # moments of the shape: sum d S S^T, sum d w S^T, sum d S
+        ss = (np.outer(gamma, gamma).ravel() @ qmm).reshape(3, 3)
+        ws, sd = (gamma @ qwm).reshape(2, 3), gamma @ rm
+
         # offset block (weighted mean of residuals)
-        tbar = (w - s * (rbar @ shape)) @ d / dsum
+        e = -s * (rbar @ sd)
+        t_new = e / dsum
+        decrease += float((t - t_new) @ (0.5 * dsum * (t + t_new) - e))
+        t = t_new
         record()
 
-        # rotation-rows block
-        rbar = _update_rbar(w, d, s, shape, tbar, rbar)
+        # rotation-rows block, on N = sum d a b^T, M = sum d b b^T, sum d |a|^2
+        n = s * (ws - np.outer(t, sd))
+        sa = sww + dsum * float(t @ t)
+        rows, change = _solve_rows(sa, n.tolist(), (s * s * ss).tolist(), rows)
+        decrease -= 0.5 * change
+        rbar = np.array(rows[:2])
         record()
 
-        current = cost()
-        if prev - current < opts.relative_tolerance * max(prev, 1e-300):
+        prev, current = current, current - decrease
+        if decrease < opts.relative_tolerance * max(prev, 1e-300):
             converged = True
             break
 
@@ -413,19 +464,34 @@ def _bcd_wp(w, d, basis, s, rbar, tbar, lam, opts):
         s=s,
         c=c,
         rbar=rbar,
-        tbar=tbar,
-        final_cost=current,
+        tbar=wbar + t,
+        final_cost=cost(compose_shape(basis, c)),
         iterations=iterations,
         converged=converged,
         block_costs=block_costs,
     )
 
 
+def _choose_candidate(results):
+    """The estimate of lowest final cost. Costs within 8 ulps of the larger
+    one tie; a tie goes to the estimate whose third row looks at +z, and
+    then to the earlier one, so rounding does not decide."""
+    best = results[0]
+    for other in results[1:]:
+        gap = other.final_cost - best.final_cost
+        if abs(gap) > 8.0 * math.ulp(max(other.final_cost, best.final_cost)):
+            best = other if gap < 0.0 else best
+        elif np.cross(*other.rbar)[2] > 0.0 >= np.cross(*best.rbar)[2]:
+            best = other
+    return best
+
+
 def solve_wp(obs, basis, opts=None):
     """Fit the weak-perspective model to confidence-weighted keypoints.
 
     Runs block coordinate descent from both reflection candidates of the
-    convex initialization and returns the lower-cost estimate.
+    convex initialization and returns the lower-cost estimate. Both descents
+    share one set of weighted moments of [w - wbar; b0; B_1 .. B_k].
     """
     opts = opts or SolverOptions()
     d = np.asarray(obs.d, dtype=float)
@@ -447,20 +513,17 @@ def solve_wp(obs, basis, opts=None):
     lam = opts.lam if opts.lam is not None else default_lambda(basis)
     mu = opts.mu if opts.mu is not None else default_mu(w, d)
 
-    results = []
-    for s0, rbar0, tbar0 in convex_init(obs, basis.b0, mu):
-        results.append(_bcd_wp(w, d, basis, s0, rbar0, tbar0, lam, opts))
-
-    best = results[0]
-    for other in results[1:]:
-        if other.final_cost < best.final_cost:
-            best = other
-        elif other.final_cost == best.final_cost:
-            # exact tie: prefer the candidate whose implied third row looks at +z
-            if np.cross(other.rbar[0], other.rbar[1])[2] > 0.0 >= np.cross(
-                best.rbar[0], best.rbar[1]
-            )[2]:
-                best = other
+    k, wbar = basis.num_modes, w @ d / d.sum()
+    rows = np.concatenate([w - wbar[:, None], basis.b0, *basis.modes])
+    gram = rows @ (rows * d).T
+    qwm = gram[:2, 2:].reshape(2, k + 1, 3).transpose(1, 0, 2).reshape(k + 1, 6)
+    qmm = gram[2:, 2:].reshape(k + 1, 3, k + 1, 3).transpose(0, 2, 1, 3).reshape(-1, 9)
+    moments = wbar, gram[0, 0] + gram[1, 1], qwm, qmm, (rows[2:] @ d).reshape(k + 1, 3)
+    results = [
+        _bcd_wp(w, d, moments, basis, s0, rbar0, tbar0, lam, opts)
+        for s0, rbar0, tbar0 in convex_init(obs, basis.b0, mu)
+    ]
+    best = _choose_candidate(results)
     if not best.converged:
         logger.warning(
             "solve_wp stopped at max_iterations=%d before the relative cost "

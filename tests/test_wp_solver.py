@@ -528,3 +528,185 @@ def test_moment_cost_matches_keypoint_sum(basis):
             assert wp_solver._moment_cost(*moments, rows) == pytest.approx(
                 rows_cost(*scene, start), rel=1e-10
             )
+
+
+def numpy_prox_spectral(m, t):
+    """Reference prox of t * (spectral norm) at a 2x3 array, by SVD."""
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    s1, s2 = sv
+    if s1 - t >= s2:
+        new = np.array([s1 - t, s2])
+    else:
+        tied = max(0.0, (s1 + s2 - t) / 2.0)
+        new = np.array([tied, tied])
+    return (u * new) @ vt
+
+
+def numpy_convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
+    """Reference relaxation: the same proximal-gradient iterates as
+    wp_solver.convex_init, with O(p) array passes and an SVD per prox and
+    per objective."""
+    d = obs.d
+    dsum = d.sum()
+    w = wp_solver._cleaned_w(obs)
+    wbar, bbar = w @ d / dsum, b0 @ d / dsum
+    wc, bc = w - wbar[:, None], b0 - bbar[:, None]
+    step = 1.0 / np.linalg.eigvalsh(bc @ (d[:, None] * bc.T))[-1]
+
+    def objective(mm):
+        r = wc - mm @ bc
+        return 0.5 * np.sum(d * np.sum(r**2, axis=0)) + mu * np.linalg.svd(
+            mm, compute_uv=False
+        )[0]
+
+    m = np.zeros((2, 3))
+    prev = objective(m)
+    for _ in range(max_iterations):
+        grad = ((m @ bc - wc) * d) @ bc.T
+        m = numpy_prox_spectral(m - step * grad, step * mu)
+        cur = objective(m)
+        if prev - cur < tol * max(prev, 1e-300):
+            break
+        prev = cur
+    u, sv, vt = np.linalg.svd(m, full_matrices=False)
+    s_est = float((sv[0] + sv[1]) / 2.0)
+    candidates = []
+    for rbar in (u @ vt, u @ vt @ np.diag([1.0, 1.0, -1.0])):
+        resid = wc - s_est * (rbar @ bc)
+        cost = 0.5 * np.sum(d * np.sum(resid**2, axis=0))
+        candidates.append((cost, s_est, rbar, wbar - s_est * (rbar @ bbar)))
+    candidates.sort(key=lambda t: t[0])
+    return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
+
+
+def assert_prox_matches_reference(y, t):
+    new, top = wp_solver._prox_spectral(y.tolist(), t)
+    ref = numpy_prox_spectral(y, t)
+    scale = max(np.linalg.norm(y), 1e-300)
+    assert np.max(np.abs(np.array(new) - ref)) <= 1e-12 * scale
+    top_ref = np.linalg.svd(ref, compute_uv=False)[0]
+    assert top == pytest.approx(top_ref, abs=1e-12 * scale)
+    return np.array(new), top
+
+
+class TestFloatRelaxation:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_prox_matches_svd_reference(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        y = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3)
+        sv = np.linalg.svd(y, compute_uv=False)
+        # shrink s1 alone, the tied branch, and the zero branch
+        for t in (0.5 * (sv[0] - sv[1]), sv[0] - 0.5 * sv[1], 1.5 * sv[1] + sv[0]):
+            assert_prox_matches_reference(y, t)
+
+    def test_prox_at_zero_threshold_returns_the_input(self):
+        y = np.random.default_rng(710).normal(size=(2, 3))
+        new, top = assert_prox_matches_reference(y, 0.0)
+        assert np.array_equal(new, y)
+        assert top == pytest.approx(np.linalg.svd(y, compute_uv=False)[0], rel=1e-14)
+
+    def test_prox_of_rank_one_input(self):
+        row = np.array([0.3, -1.2, 2.0])
+        y = np.vstack([row, -2.5 * row])
+        s1 = np.linalg.norm(y)
+        for t in (0.0, 0.25 * s1, s1, 2.0 * s1):
+            new, top = assert_prox_matches_reference(y, t)
+            assert top == pytest.approx(max(s1 - t, 0.0), abs=1e-12 * s1)
+        assert not np.any(wp_solver._prox_spectral(y.tolist(), 2.0 * s1)[0])
+
+    def test_prox_above_the_nuclear_norm_is_zero(self):
+        y = np.random.default_rng(711).normal(size=(2, 3))
+        t = np.sum(np.linalg.svd(y, compute_uv=False))
+        for scale in (1.0, 1.0 + 1e-12, 3.0):
+            new, top = wp_solver._prox_spectral(y.tolist(), scale * t)
+            assert top == 0.0 and not np.any(new)
+
+    def test_prox_tied_branch(self):
+        rng = np.random.default_rng(712)
+        for _ in range(20):
+            y = rng.normal(size=(2, 3))
+            s1, s2 = np.linalg.svd(y, compute_uv=False)
+            t = rng.uniform(s1 - s2, s1 + s2)
+            new, top = assert_prox_matches_reference(y, t)
+            assert np.linalg.svd(new, compute_uv=False) == pytest.approx(
+                [0.5 * (s1 + s2 - t)] * 2, rel=1e-10
+            )
+
+    @pytest.mark.parametrize("t", [0.0, 1e-300, 1e-17, 1e-9, 0.5])
+    @pytest.mark.parametrize("seed", [None, 713, 716])
+    def test_prox_of_isotropic_input(self, t, seed):
+        # y y^T = sigma^2 I: both singular values tie, so every t > 0 takes the
+        # tied branch in exact arithmetic. In floats s1 - s2 is 0 for the axis
+        # rows and seed 716, 2 ulps for seed 713, so a t below that shrinks s1
+        # alone by a step whose denominator holds s1 - s2.
+        q = np.eye(3)
+        if seed is not None:
+            q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        sigma = 2.5
+        y = sigma * q[:2]
+        new, top = wp_solver._prox_spectral(y.tolist(), t)
+        assert np.all(np.isfinite(new))
+        expect = max(sigma - 0.5 * t, 0.0) if t > 0.0 else sigma
+        assert np.max(np.abs(np.array(new) - y * (expect / sigma))) <= 1e-14
+        assert top == pytest.approx(expect, abs=1e-14)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_relaxation_matches_numpy_reference(self, basis, seed):
+        rng = np.random.default_rng(720 + seed)
+        obs, _ = make_wp_obs(basis, 730 + seed, s=rng.uniform(0.01, 100.0))
+        w = obs.w + rng.normal(0.0, 0.05, obs.w.shape) * np.abs(obs.w).max()
+        d = rng.uniform(0.1, 1.0, basis.num_keypoints)
+        d[rng.integers(basis.num_keypoints)] = 0.0
+        obs = KeypointObservations(w + rng.normal(0.0, 100.0, (2, 1)), d)
+        mu = wp_solver.default_mu(wp_solver._cleaned_w(obs), d) * rng.uniform(0.1, 10)
+        got = convex_init(obs, basis.b0, mu)
+        ref = numpy_convex_init(obs, basis.b0, mu)
+        for (s, rbar, tbar), (s_ref, rbar_ref, tbar_ref) in zip(got, ref):
+            assert s == pytest.approx(s_ref, rel=1e-9)
+            assert np.max(np.abs(rbar - rbar_ref)) <= 1e-9
+            scale = max(1.0, np.abs(tbar_ref).max())
+            assert np.max(np.abs(tbar - tbar_ref)) <= 1e-9 * scale
+
+    def test_relaxation_makes_one_svd(self, basis, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        for seed in range(5):
+            obs, _ = make_wp_obs(basis, 740 + seed)
+            calls.clear()
+            convex_init(obs, basis.b0, mu=1e-3)
+            assert len(calls) == 1
+
+
+def make_estimate(cost, plus_z):
+    rbar = np.eye(3)[:2] if plus_z else np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    return wp_solver.WPEstimate(1.0, np.zeros(2), rbar, np.zeros(2), cost, 3, True)
+
+
+class TestCandidateChoice:
+    @pytest.mark.parametrize("cost", [1.467386118642310e-4, 1.0, 3.7e5])
+    def test_costs_an_ulp_apart_tie_whatever_the_order(self, cost):
+        # the candidate that looks at +z wins, whichever cost rounding made lower
+        for up in (True, False):
+            low = make_estimate(cost, up)
+            high = make_estimate(np.nextafter(cost, 2.0 * cost), not up)
+            for order in ([low, high], [high, low]):
+                assert wp_solver._choose_candidate(order) is (low if up else high)
+
+    def test_tie_with_the_same_view_goes_to_the_first(self):
+        a, b = make_estimate(1.0, True), make_estimate(np.nextafter(1.0, 2.0), True)
+        assert wp_solver._choose_candidate([a, b]) is a
+        assert wp_solver._choose_candidate([b, a]) is b
+
+    @pytest.mark.parametrize("cost", [1.467386118642310e-4, 1.0, 3.7e5])
+    def test_a_relative_gap_of_1e_12_goes_to_the_lower_cost(self, cost):
+        for plus_z in (True, False):
+            low = make_estimate(cost, not plus_z)
+            high = make_estimate(cost * (1.0 + 1e-12), plus_z)
+            for order in ([low, high], [high, low]):
+                assert wp_solver._choose_candidate(order) is low
