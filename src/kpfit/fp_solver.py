@@ -2,17 +2,18 @@
 
 Minimizes the weighted cost with the ray residual W~ Z - R S - T 1^T, where
 W~ holds normalized homogeneous keypoint coordinates and Z per-point depths.
-Each iteration runs two closed-form blocks, so the cost never increases:
+Eliminating each depth leaves the object-space projector I - v v^T / |v|^2 of
+its ray (Lu, Hager & Mjolsness, TPAMI 2000). Each iteration runs two exact
+blocks on that form, each followed by the depths as ray projections:
 
-- Block A fixes R. The residual is then linear in (Z, T, c) jointly, and
-  eliminating each depth leaves the object-space projector
-  I - v v^T / |v|^2 of its ray (Lu, Hager & Mjolsness, TPAMI 2000). T and c
-  solve one (3+k)x(3+k) ridge system; each depth becomes the ray projection of
-  its model point, clamped to a positive floor.
-- Block B fixes Z and c and solves R and T by weighted Procrustes about the
-  weighted centroids.
+- Block A fixes R: T and c solve one (3+k)x(3+k) ridge system.
+- Block B fixes c: with T eliminated too, safeguarded Newton steps on SO(3)
+  minimize the 9x9 form vec(R)^T Omega(c) vec(R) (Hesch & Roumeliotis, "DLS",
+  ICCV 2011), contracted from tensors formed once per fit.
 
-The solve is initialized from the weak-perspective solution.
+A block that would raise the cost, or pin a confident depth at the floor in
+block B, solves for the current depths instead: (T, c) in block A, weighted
+Procrustes in block B. The fit starts from the weak-perspective solution.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BehindCameraError, InsufficientConstraintsError
-from .geometry import normalize_keypoints, weighted_procrustes
+from .errors import (
+    BehindCameraError, DegenerateGeometryError, InsufficientConstraintsError
+)
+from .geometry import normalize_keypoints, project_to_so3, so3_exp, weighted_procrustes
 from .observations import KeypointObservations
 from .shape_basis import compose_shape
 from .wp_solver import SolverOptions, default_lambda, solve_wp, _cleaned_w
@@ -101,6 +104,82 @@ def fp_cost_gradient(obs, intrinsics, basis, rotation, translation, c, depths, l
     return g_t, g_c, g_z, g_omega
 
 
+def _object_space_form(wt, d, basis):
+    """The stack d_i P_i, A^-1 L_j and K_jl - L_j^T A^-1 L_l (one row per (j, l))
+    for A = sum_i d_i P_i, L_j = sum_i d_i (P_i kron B_ji^T) and
+    K_jl = sum_i d_i (P_i kron B_ji B_li^T), with B_0 = b0 and B_j = mode j."""
+    k, p = basis.num_modes, basis.num_keypoints
+    # d_i (I - v_i v_i^T / |v_i|^2): the weighted object-space projector of ray i
+    outer = np.einsum("ap,bp->pab", wt, wt) / np.sum(wt**2, axis=0)[:, None, None]
+    dproj = d[:, None, None] * (np.eye(3) - outer)
+    amat = dproj.sum(axis=0)
+    spread = np.linalg.eigvalsh(amat)
+    if spread[0] <= 1e-12 * spread[-1]:
+        raise DegenerateGeometryError("all confident keypoints lie on one ray")
+    flat = np.concatenate([basis.b0[None], basis.modes]).reshape(-1, p)
+    ltens = (flat @ dproj.reshape(p, 9)).reshape(k + 1, 3, 3, 3).transpose(2, 0, 3, 1)
+    ainv_l = np.linalg.solve(amat, ltens.reshape(3, -1)).reshape(3, k + 1, 9)
+    ktens = (flat[:, None] * flat[None]).reshape(-1, p) @ dproj.reshape(p, 9)
+    ktens = ktens.reshape(k + 1, 3, k + 1, 3, 3, 3).transpose(0, 2, 4, 1, 5, 3)
+    schur = np.einsum("ajm,aln->jlmn", ltens.reshape(3, k + 1, 9), ainv_l)
+    return dproj, ainv_l, ktens.reshape(-1, 81) - schur.reshape(-1, 81)
+
+
+def _rotation_form(ainv_l, qtens, c):
+    """Omega and A^-1 L(gamma) at gamma = (1, c). With x = vec(R) (row-major),
+    T = -A^-1 L(gamma) x and every depth its ray projection, the cost is
+    1/2 x^T Omega x + lam/2 |c|^2, Omega = K(gamma) - L(gamma)^T A^-1 L(gamma)."""
+    gamma = np.concatenate([[1.0], c])
+    omega = (np.outer(gamma, gamma).ravel() @ qtens).reshape(9, 9)
+    return 0.5 * (omega + omega.T), np.tensordot(gamma, ainv_l, (0, 1))
+
+
+def _form_derivatives(omega, rotation):
+    """mat(omega x), gradient and Hessian of w -> 1/2 x^T omega x at x =
+    vec(R exp(hat(w))), w = 0. With J = [vec(R hat(e_j))] and G = R^T mat(omega x)
+    they are J omega x and J^T omega J + sym(G) - tr(G) I."""
+    mx = omega @ rotation.ravel()
+    g = rotation.T @ mx.reshape(3, 3)
+    jac = np.cross(rotation, np.eye(3)[:, None]).reshape(3, 9)  # R hat(e_j)
+    hess = jac @ omega @ jac.T + 0.5 * (g + g.T) - np.trace(g) * np.eye(3)
+    return mx.reshape(3, 3), jac @ mx, hess
+
+
+def _minimize_form(omega, rotation, max_steps=50):
+    """Rotation minimizing 1/2 vec(R)^T omega vec(R), from ``rotation``. A Newton
+    step R exp(hat(w)) is kept only when the Hessian has a Cholesky factor and
+    the form does not rise; otherwise one majorization step
+    proj_SO(3)(l_max R - mat(omega vec R)) is taken, which cannot raise it.
+    Steps are compared by the change 1/2 (y - x)^T omega (y + x)."""
+
+    def change(new):
+        return 0.5 * (new.ravel() - x) @ omega @ (new.ravel() + x)
+
+    x, top = rotation.ravel(), None
+    for _ in range(max_steps):
+        grad_mat, grad, hess = _form_derivatives(omega, rotation)
+        tiny = 1e-14 * np.linalg.norm(grad_mat)
+        try:
+            np.linalg.cholesky(hess)
+        except np.linalg.LinAlgError:
+            new = None
+        else:
+            new = rotation @ so3_exp(-np.linalg.solve(hess, grad))
+            step = change(new)
+            if 0.0 < step <= tiny:
+                break  # a Newton step rejected only by rounding: the block is solved
+        if new is None or step > 0.0:
+            top = np.linalg.eigvalsh(omega)[-1] if top is None else top
+            new = project_to_so3(top * rotation - grad_mat)
+            step = change(new)
+            if step > 0.0:
+                break  # rounding: a majorization step cannot raise the form
+        rotation, x = new, new.ravel()
+        if -step <= tiny:
+            break
+    return rotation
+
+
 def wp_to_fp_init(wp, intrinsics=None):
     """Rotation/translation seed from a weak-perspective estimate.
 
@@ -151,12 +230,8 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     w = _cleaned_w(obs)
     wt = normalize_keypoints(w, intrinsics)
     wt_sq = np.sum(wt**2, axis=0)
-    dsum = d.sum()
     k, p = basis.num_modes, basis.num_keypoints
-    # d_i (I - v_i v_i^T / |v_i|^2): the weighted object-space projector of ray i
-    dproj = d[:, None, None] * (
-        np.eye(3) - np.einsum("ap,bp->pab", wt, wt) / wt_sq[:, None, None]
-    )
+    dproj, *form = _object_space_form(wt, d, basis)
     dident = d[:, None, None] * np.eye(3)
     ridge = np.diag(np.concatenate([np.zeros(3), np.full(k, lam)]))
     # per-point design A_i = [I, R m_1i ... R m_ki] acting on (T, c)
@@ -165,22 +240,23 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
 
     def block_a(rotation, weights, depths):
         """(T, c) minimizing sum_i |P_i (v_i z_i - R s_i - T)|^2 d_i + lam |c|^2
-        for the given stack d_i P_i, then each depth as its clamped ray
-        projection, and which depths the floor pinned. With P_i the ray
-        projector the depths drop out."""
+        for the stack d_i P_i (the depths drop out for ray projectors), then
+        ray_depths."""
         design[:, :, 3:] = np.einsum("ab,jbp->paj", rotation, basis.modes)
         wa = weights @ design
         gram = np.einsum("pai,paj->ij", design, wa) + ridge
         rhs = np.einsum("pai,ap->i", wa, wt * depths - rotation @ basis.b0)
         x = np.linalg.solve(gram, rhs)
-        t, cc = x[:3], x[3:]
-        shape = compose_shape(basis, cc)
+        shape = compose_shape(basis, x[3:])
+        return (x[:3], x[3:], shape, *ray_depths(rotation, x[:3], shape, x[3:]))
+
+    def ray_depths(rotation, t, shape, cc):
+        """Depths as clamped ray projections, which the floor pinned, the cost."""
         floor = DEPTH_FLOOR_FACTOR * max(np.linalg.norm(t), 1e-12)
         z = np.sum(wt * (rotation @ shape + t[:, None]), axis=0) / wt_sq
         pinned = z <= floor
         z = np.maximum(z, floor)
-        cost = _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
-        return t, cc, shape, z, pinned, cost
+        return z, pinned, _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
 
     if init is not None:
         rotation, translation = init
@@ -203,10 +279,8 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     for iterations in range(1, opts.max_iterations + 1):
         prev = current
 
-        # block A: (T, c) with the depths eliminated, then the depths. The
-        # elimination assumes unconstrained depths; if clamping one at the
-        # floor makes the step raise the cost, solve (T, c) for the current
-        # depths instead, which is an exact block minimizer
+        # block A: (T, c) with the depths eliminated, then the depths; if the
+        # floor clamp raises the cost, (T, c) for the current depths instead
         step = block_a(rotation, dproj, depths)
         if step[-1] > current:
             step = block_a(rotation, dident, depths)
@@ -214,14 +288,20 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         if block_costs is not None:
             block_costs.append(current)
 
-        # block B: weighted Procrustes about the weighted centroids, then the
-        # exact translation
-        target = wt * depths
-        xbar = target @ d / dsum
-        sbar = shape @ d / dsum
-        rotation = weighted_procrustes(target - xbar[:, None], shape - sbar[:, None], d)
-        translation = xbar - rotation @ sbar
-        current = _ray_cost(wt, d, rotation, translation, shape, c, depths, lam)
+        # block B: (R, T) with the depths eliminated, then the depths; if that
+        # pins a confident depth or raises the cost, weighted Procrustes for
+        # the current depths, then the exact translation
+        omega, ainv_lg = _rotation_form(*form, c)
+        new = _minimize_form(omega, rotation)
+        t = -ainv_lg @ new.ravel()
+        z, pins, cost = ray_depths(new, t, shape, c)
+        if cost > current or np.any(pins & (d > 0.0)):
+            target, sbar = wt * depths, shape @ d / d.sum()
+            xbar = target @ d / d.sum()
+            new = weighted_procrustes(target - xbar[:, None], shape - sbar[:, None], d)
+            t, z, pins = xbar - new @ sbar, depths, pinned
+            cost = _ray_cost(wt, d, new, t, shape, c, z, lam)
+        rotation, translation, depths, pinned, current = new, t, z, pins, cost
         if block_costs is not None:
             block_costs.append(current)
 
@@ -237,7 +317,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
             opts.relative_tolerance,
         )
 
-    # block B leaves the depths as the last block A set them
+    # the depths and the pins are those of the last block that set the depths
     clamped = (d > 0.0) & pinned
     if np.any(clamped):
         raise BehindCameraError(

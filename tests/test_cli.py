@@ -55,6 +55,27 @@ class TestFitCommands:
                 else:
                     assert float(g_tok) == pytest.approx(e_val, rel=1e-6, abs=1e-9)
 
+    def test_fit_fp_cost_not_above_the_procrustes_block_fit(self, tmp_path, capsys):
+        # the cost this fixture reached when block B was one Procrustes pass
+        # for fixed depths; the exact (R, T | c) block must not stop higher
+        out = tmp_path / "fit.txt"
+        code, _, _ = run_cli(
+            capsys,
+            "fit-fp",
+            "--basis",
+            str(DATA / "basis.txt"),
+            "--keypoints",
+            str(DATA / "keypoints.txt"),
+            "--intrinsics",
+            str(DATA / "intrinsics.txt"),
+            "--out",
+            str(out),
+        )
+        assert code == 0
+        lines = [line.split() for line in out.read_text().splitlines()]
+        (cost,) = [float(parts[1]) for parts in lines if parts[0] == "cost"]
+        assert cost <= 5.8634386953092244e-4
+
     def test_fit_wp_stdout_shape(self, capsys):
         code, out, err = run_cli(
             capsys,

@@ -6,6 +6,7 @@ import pytest
 from kpfit import (
     BehindCameraError,
     CameraIntrinsics,
+    DegenerateGeometryError,
     InsufficientConstraintsError,
     KeypointObservations,
     SolverOptions,
@@ -14,12 +15,14 @@ from kpfit import (
     fp_cost_gradient,
     geodesic_distance,
     normalize_keypoints,
+    project_to_so3,
     so3_exp,
     solve_fp,
     solve_wp,
     weighted_procrustes,
     wp_to_fp_init,
 )
+from kpfit import fp_solver
 from kpfit.geometry import hat
 from kpfit.wp_solver import _cleaned_w
 from conftest import make_basis, make_fp_scene, random_rotation
@@ -411,3 +414,134 @@ class TestLogging:
             est = solve_fp(obs, intrinsics, basis)
         assert est.converged
         assert caplog.records == []
+
+
+def form_scene(basis, intrinsics, seed):
+    """Noisy weighted keypoints of a scene, its truth, and the per-fit tensors."""
+    rng = np.random.default_rng(seed)
+    c, shape, rotation, translation, pixels = make_fp_scene(
+        basis, intrinsics, seed, depth_mult=6.0, coeff_scale=0.5
+    )
+    obs = KeypointObservations(
+        pixels + rng.normal(0.0, 1.0, pixels.shape), rng.uniform(0.2, 1.0, 12)
+    )
+    wt = normalize_keypoints(_cleaned_w(obs), intrinsics)
+    return obs, c, rotation, fp_solver._object_space_form(wt, obs.d, basis)
+
+
+def form_value(omega, rotation):
+    return 0.5 * rotation.ravel() @ omega @ rotation.ravel()
+
+
+def majorized(omega, rotation, steps):
+    """Reference: ``steps`` plain majorization steps on SO(3)."""
+    top = np.linalg.eigvalsh(omega)[-1]
+    for _ in range(steps):
+        grad_mat = (omega @ rotation.ravel()).reshape(3, 3)
+        rotation = project_to_so3(top * rotation - grad_mat)
+    return rotation
+
+
+class TestExactRotationBlock:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_form_equals_cost_with_t_and_depths_eliminated(
+        self, basis, intrinsics, seed
+    ):
+        obs, _, _, (_, ainv_l, qtens) = form_scene(basis, intrinsics, 60 + seed)
+        rng = np.random.default_rng(70 + seed)
+        wt = normalize_keypoints(_cleaned_w(obs), intrinsics)
+        lam = 0.3
+        for _ in range(4):
+            rotation, c = random_rotation(rng), rng.normal(0.0, 0.5, 2)
+            omega, ainv_lg = fp_solver._rotation_form(ainv_l, qtens, c)
+            translation = -ainv_lg @ rotation.ravel()
+            points = rotation @ compose_shape(basis, c) + translation[:, None]
+            depths = np.sum(wt * points, axis=0) / np.sum(wt**2, axis=0)
+            direct = cost_fp(
+                obs, intrinsics, basis, rotation, translation, c, depths, lam
+            )
+            reduced = form_value(omega, rotation) + 0.5 * lam * c @ c
+            assert reduced == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solve_matches_majorization_reference(self, basis, intrinsics, seed):
+        obs, c, truth, (_, ainv_l, qtens) = form_scene(basis, intrinsics, 80 + seed)
+        omega, _ = fp_solver._rotation_form(ainv_l, qtens, c)
+        start = truth @ so3_exp(np.random.default_rng(seed).normal(0.0, 0.3, 3))
+        got = fp_solver._minimize_form(omega, start)
+        want = majorized(omega, start, 2000)
+        assert form_value(omega, got) == pytest.approx(
+            form_value(omega, want), rel=1e-10
+        )
+        assert np.max(np.abs(got - want)) < 1e-6
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_newton_terms_match_central_differences(self, basis, intrinsics, seed):
+        obs, c, _, (_, ainv_l, qtens) = form_scene(basis, intrinsics, 90 + seed)
+        omega, _ = fp_solver._rotation_form(ainv_l, qtens, c)
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(3):
+            rotation = random_rotation(rng)
+            _, grad, hess = fp_solver._form_derivatives(omega, rotation)
+
+            def f(w):
+                return form_value(omega, rotation @ so3_exp(w))
+
+            eye, h = np.eye(3), 1e-4
+            num_grad = [(f(1e-6 * e) - f(-1e-6 * e)) / 2e-6 for e in eye]
+            num_hess = [
+                [
+                    (f(h * (a + b)) - f(h * (a - b)) - f(h * (b - a)) + f(-h * (a + b)))
+                    / (4 * h * h)
+                    for b in eye
+                ]
+                for a in eye
+            ]
+            assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
+            assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_far_start_takes_majorization_steps_down_to_the_minimizer(
+        self, basis, intrinsics, monkeypatch
+    ):
+        obs, c, truth, (_, ainv_l, qtens) = form_scene(basis, intrinsics, 110)
+        omega, _ = fp_solver._rotation_form(ainv_l, qtens, c)
+        best = fp_solver._minimize_form(omega, truth)
+        # the form has a second local minimum near the 180-degree rotation of
+        # this one; 176-degree starts about some other axes descend to it
+        start = best @ so3_exp(np.radians(176.0) * np.array([1.0, 0.0, 0.0]))
+        assert np.degrees(geodesic_distance(start, best)) == pytest.approx(176.0)
+        hess = fp_solver._form_derivatives(omega, start)[2]
+        assert np.linalg.eigvalsh(hess)[0] < 0.0
+
+        calls = []
+
+        def spy(m):
+            calls.append(m)
+            return project_to_so3(m)
+
+        monkeypatch.setattr(fp_solver, "project_to_so3", spy)
+        values = [
+            form_value(omega, fp_solver._minimize_form(omega, start, max_steps=n))
+            for n in range(51)
+        ]
+        assert calls
+        assert np.all(np.diff(values) <= 1e-12 * values[0])
+        got = fp_solver._minimize_form(omega, start)
+        want = form_value(omega, best)
+        assert form_value(omega, got) == pytest.approx(want, rel=1e-10)
+        assert np.max(np.abs(got - best)) < 1e-6
+
+    def test_all_confident_keypoints_on_one_ray_raise(self, basis, intrinsics):
+        # on the optical axis A = sum_i d_i P_i = 5 diag(1, 1, 0) is exactly
+        # singular, so inverting it would raise LinAlgError
+        c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 120)
+        d = np.zeros(12)
+        d[:5] = 1.0
+        pixels[:, :5] = np.array([intrinsics.cx, intrinsics.cy])[:, None]
+        with pytest.raises(DegenerateGeometryError):
+            solve_fp(
+                KeypointObservations(pixels, d),
+                intrinsics,
+                basis,
+                init=(rotation, translation),
+            )

@@ -4,13 +4,25 @@ Both fits see the keypoints through weighted sums over them, whose value
 depends on the summation order only by rounding, so reordering the keypoints
 (with the basis) must leave the estimates unchanged to far below the
 solvers' tolerance. Zero-confidence keypoints carry no information, whatever
-their coordinates hold.
+their coordinates hold. The FP fit reaches the same minimizer from nearby
+starts, and scaling every confidence with both penalty weights scales
+its cost without moving the argmin.
 """
 
 import numpy as np
 import pytest
 
-from kpfit import KeypointObservations, ShapeBasis, solve_fp, solve_wp
+from kpfit import (
+    KeypointObservations,
+    ShapeBasis,
+    SolverOptions,
+    geodesic_distance,
+    normalize_keypoints,
+    so3_exp,
+    solve_fp,
+    solve_wp,
+)
+from kpfit.wp_solver import default_lambda, default_mu
 from conftest import make_basis, make_fp_scene
 
 
@@ -79,3 +91,45 @@ def test_nan_in_a_zero_confidence_column_is_ignored(basis, intrinsics, seed):
     fp_zero = solve_fp(with_zeros, intrinsics, basis)
     assert_same_fp(fp_nan, fp_zero, tol=0.0)
     assert np.array_equal(fp_nan.depths, fp_zero.depths)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fp_from_a_perturbed_init_reaches_the_same_minimizer(
+    basis, intrinsics, seed
+):
+    pixels, d = noisy_scene(basis, intrinsics, 840 + seed)
+    obs = KeypointObservations(pixels, d)
+    ref = solve_fp(obs, intrinsics, basis)
+    rng = np.random.default_rng(850 + seed)
+    axis = rng.normal(size=3)
+    rotation = ref.rotation @ so3_exp(np.radians(3.0) * axis / np.linalg.norm(axis))
+    shift = rng.normal(size=3)
+    translation = ref.translation + 0.02 * np.linalg.norm(ref.translation) * (
+        shift / np.linalg.norm(shift)
+    )
+    est = solve_fp(obs, intrinsics, basis, init=(rotation, translation))
+    assert np.degrees(geodesic_distance(est.rotation, ref.rotation)) <= 1e-3
+    assert np.max(np.abs(est.c - ref.c)) <= 1e-4
+    assert est.final_cost == pytest.approx(ref.final_cost, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1e3])
+@pytest.mark.parametrize("seed", range(4))
+def test_fp_confidence_scale_leaves_the_argmin(basis, intrinsics, seed, alpha):
+    # with lam and mu scaled too, every cost (WP init and FP) scales by alpha
+    pixels, d = noisy_scene(basis, intrinsics, 860 + seed)
+    lam = default_lambda(basis)
+    mu = default_mu(normalize_keypoints(pixels, intrinsics)[:2], d)
+    opts = SolverOptions(lam=lam, mu=mu)
+    est = solve_fp(KeypointObservations(pixels, d), intrinsics, basis, opts)
+    scaled = solve_fp(
+        KeypointObservations(pixels, alpha * d),
+        intrinsics,
+        basis,
+        SolverOptions(lam=alpha * lam, mu=alpha * mu),
+    )
+    # entries of R, not geodesic_distance, whose arccos floor is about 4e-6 deg
+    assert np.max(np.abs(scaled.rotation - est.rotation)) <= 1e-8
+    assert np.max(np.abs(scaled.c - est.c)) <= 1e-8
+    shift = np.max(np.abs(scaled.translation - est.translation))
+    assert shift <= 1e-8 * np.linalg.norm(est.translation)
