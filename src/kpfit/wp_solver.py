@@ -1,16 +1,18 @@
 """Weak-perspective fit: scale, shape coefficients, 2x3 rotation rows, 2D offset.
 
 The weighted, Tikhonov-regularized cost is minimized by block coordinate
-descent, initialized from a convex relaxation that fixes the shape to the
-mean and replaces the row-orthonormality constraint with a spectral-norm
-regularizer (Zhou, Leonardos, Hu & Daniilidis, CVPR 2015). Both stages see
-the keypoints only through weighted moments formed once per fit: the
-relaxation through those of the centred rows [W; B0], the descent through
-the Gram of [W; B0; B_1 .. B_k]. Every step is a contraction of these with
-the current coefficients and rows, so no step passes over the keypoints.
-Every block is an exact minimizer, so the cost never rises:
+descent over scale, shape coefficients and rotation rows, initialized from a
+convex relaxation that fixes the shape to the mean and replaces the
+row-orthonormality constraint with a spectral-norm regularizer (Zhou,
+Leonardos, Hu & Daniilidis, CVPR 2015). In both stages the offset is
+eliminated exactly at the weighted means, so both see the keypoints only
+through weighted moments of centred rows formed once per fit: the relaxation
+those of [W; B0], the descent the Gram of [W; B0; B_1 .. B_k]. Every step is
+a contraction of these with the current coefficients and rows, so no step
+passes over the keypoints. Every block is an exact minimizer, so the cost
+never rises:
 
-- scale, shape coefficients and offset are weighted least-squares solves;
+- scale and shape coefficients are weighted least-squares solves;
 - the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3) in
   plain float arithmetic on their 2x3 and 3x3 moments. A step is kept only
   when the Hessian is positive definite and the cost does not rise; a rise
@@ -390,20 +392,25 @@ def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
     return np.array(_solve_rows(*moments, _rotation_rows(rbar), max_steps)[0][:2])
 
 
-def _bcd_wp(w, d, moments, basis, s, rbar, tbar, lam, opts):
-    """Block descent from one start on the moments of solve_wp. With gamma =
-    (1, c) the shape is sum_j gamma_j B_j (B_0 = b0), so the moments Q_jl of
-    B_j B_l^T enter as <rbar^T rbar, Q_jl>, those of w B_j^T as <rbar, Q_wj>.
-    The offset t is kept relative to wbar. The stopping rule reads the sum of
-    the blocks' exact decreases, each written without cancellation."""
-    wbar, sww, qwm, qmm, rm = moments
-    dsum, k = d.sum(), basis.num_modes
+def _bcd_wp(w, d, moments, basis, s, rbar, lam, opts):
+    """Block descent from one start on the centred moments of solve_wp. With
+    gamma = (1, c) the shape is sum_j gamma_j B_j (B_0 = b0), so the moments
+    Q_jl of B_j B_l^T enter as <rbar^T rbar, Q_jl>, those of w B_j^T as
+    <rbar, Q_wj>. The offset is eliminated at the weighted means,
+    tbar = wbar - s rbar sum_j gamma_j Bbar_j, and formed only for a cost or
+    the estimate. The stopping rule reads the sum of the blocks' exact
+    decreases, each written without cancellation."""
+    wbar, bbar, sww, qwm, qmm = moments
+    k = basis.num_modes
     c, gamma, eye = np.zeros(k), np.eye(k + 1)[0], np.eye(k)
     rows = _rotation_rows(rbar)
-    s, t = max(float(s), 1e-12), np.asarray(tbar, dtype=float) - wbar
+    s = max(float(s), 1e-12)
+
+    def offset():
+        return wbar - s * (rbar @ (gamma @ bbar))
 
     def cost(shape):
-        return _wp_cost(w, d, s, shape, c, rbar, wbar + t, lam)
+        return _wp_cost(w, d, s, shape, c, rbar, offset(), lam)
 
     current = cost(basis.b0)
     block_costs = [current] if opts.record_block_costs else None
@@ -416,7 +423,7 @@ def _bcd_wp(w, d, moments, basis, s, rbar, tbar, lam, opts):
     for iterations in range(1, opts.max_iterations + 1):
         rp = rbar.T @ rbar
         h = (qmm @ rp.ravel()).reshape(k + 1, k + 1)  # <rbar^T rbar, Q_jl>
-        wr = qwm @ rbar.ravel() - rm @ (rbar.T @ t)  # <rbar, Q_wj> - t.rbar r_j
+        wr = qwm @ rbar.ravel()  # <rbar, Q_wj>
 
         # scale block (closed-form weighted least squares)
         den, num = float(gamma @ h @ gamma), float(gamma @ wr)
@@ -436,21 +443,11 @@ def _bcd_wp(w, d, moments, basis, s, rbar, tbar, lam, opts):
             c = gamma[1:] = c_new
             record()
 
-        # moments of the shape: sum d S S^T, sum d w S^T, sum d S
-        ss = (np.outer(gamma, gamma).ravel() @ qmm).reshape(3, 3)
-        ws, sd = (gamma @ qwm).reshape(2, 3), gamma @ rm
-
-        # offset block (weighted mean of residuals)
-        e = -s * (rbar @ sd)
-        t_new = e / dsum
-        decrease += float((t - t_new) @ (0.5 * dsum * (t + t_new) - e))
-        t = t_new
-        record()
-
         # rotation-rows block, on N = sum d a b^T, M = sum d b b^T, sum d |a|^2
-        n = s * (ws - np.outer(t, sd))
-        sa = sww + dsum * float(t @ t)
-        rows, change = _solve_rows(sa, n.tolist(), (s * s * ss).tolist(), rows)
+        # for the centred a = w - wbar and b = s (S - Sbar)
+        ss = (np.outer(gamma, gamma).ravel() @ qmm).reshape(3, 3)
+        n = s * (gamma @ qwm).reshape(2, 3)
+        rows, change = _solve_rows(sww, n.tolist(), (s * s * ss).tolist(), rows)
         decrease -= 0.5 * change
         rbar = np.array(rows[:2])
         record()
@@ -464,7 +461,7 @@ def _bcd_wp(w, d, moments, basis, s, rbar, tbar, lam, opts):
         s=s,
         c=c,
         rbar=rbar,
-        tbar=wbar + t,
+        tbar=offset(),
         final_cost=cost(compose_shape(basis, c)),
         iterations=iterations,
         converged=converged,
@@ -491,7 +488,8 @@ def solve_wp(obs, basis, opts=None):
 
     Runs block coordinate descent from both reflection candidates of the
     convex initialization and returns the lower-cost estimate. Both descents
-    share one set of weighted moments of [w - wbar; b0; B_1 .. B_k].
+    share one Gram of the rows [w; b0; B_1 .. B_k] centred at their weighted
+    means, which eliminates the offset.
     """
     opts = opts or SolverOptions()
     d = np.asarray(obs.d, dtype=float)
@@ -502,26 +500,24 @@ def solve_wp(obs, basis, opts=None):
             "need at least 4 keypoints with positive confidence"
         )
     w = _cleaned_w(obs)
-
-    pos = d > 0.0
-    wpos = w[:, pos]
-    centered = wpos - (wpos @ d[pos] / d[pos].sum())[:, None]
-    sv = np.linalg.svd(centered * np.sqrt(d[pos]), compute_uv=False)
+    k = basis.num_modes
+    rows = np.concatenate([w, basis.b0, *basis.modes])
+    mean = rows @ d / d.sum()
+    rows -= mean[:, None]
+    sv = np.linalg.svd(rows[:2] * np.sqrt(d), compute_uv=False)
     if sv[1] <= 1e-9 * max(sv[0], 1e-300):
         raise DegenerateGeometryError("weighted observed keypoints are collinear")
 
     lam = opts.lam if opts.lam is not None else default_lambda(basis)
     mu = opts.mu if opts.mu is not None else default_mu(w, d)
 
-    k, wbar = basis.num_modes, w @ d / d.sum()
-    rows = np.concatenate([w - wbar[:, None], basis.b0, *basis.modes])
     gram = rows @ (rows * d).T
     qwm = gram[:2, 2:].reshape(2, k + 1, 3).transpose(1, 0, 2).reshape(k + 1, 6)
     qmm = gram[2:, 2:].reshape(k + 1, 3, k + 1, 3).transpose(0, 2, 1, 3).reshape(-1, 9)
-    moments = wbar, gram[0, 0] + gram[1, 1], qwm, qmm, (rows[2:] @ d).reshape(k + 1, 3)
+    moments = mean[:2], mean[2:].reshape(k + 1, 3), gram[0, 0] + gram[1, 1], qwm, qmm
     results = [
-        _bcd_wp(w, d, moments, basis, s0, rbar0, tbar0, lam, opts)
-        for s0, rbar0, tbar0 in convex_init(obs, basis.b0, mu)
+        _bcd_wp(w, d, moments, basis, s0, rbar0, lam, opts)
+        for s0, rbar0, _ in convex_init(obs, basis.b0, mu)
     ]
     best = _choose_candidate(results)
     if not best.converged:

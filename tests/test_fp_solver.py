@@ -312,6 +312,34 @@ class TestSolveFp:
         assert np.all(np.diff(est.block_costs) <= 1e-10)
         assert np.degrees(geodesic_distance(est.rotation, rotation)) < 2.0
 
+    def test_floor_condition_alone_keeps_the_fit_in_front(self, basis, intrinsics):
+        # from this start, 177 degrees off, block B's exact step at the first
+        # iteration leaves a confident depth at the floor without raising the
+        # cost: only the floor condition sends it to the Procrustes fallback,
+        # and without it the fit ends behind the camera
+        rng = np.random.default_rng(2836)
+        depth = rng.uniform(0.6, 3.0)
+        _, _, rotation, translation, pixels = make_fp_scene(
+            basis, intrinsics, 2836, depth_mult=depth
+        )
+        d = rng.uniform(0.2, 1.0, 12)
+        pixels += rng.normal(0.0, 1.0, pixels.shape)
+        init = (
+            rotation @ so3_exp(rng.normal(size=3) * rng.uniform(0.5, 3.0)),
+            translation * rng.uniform(0.3, 2.0) + rng.normal(0.0, 0.3, 3),
+        )
+        est = solve_fp(
+            KeypointObservations(pixels, d),
+            intrinsics,
+            basis,
+            SolverOptions(record_block_costs=True),
+            init=init,
+        )
+        assert est.converged
+        assert np.degrees(geodesic_distance(est.rotation, rotation)) < 1.0
+        assert np.all(est.depths > 0.0)
+        assert np.all(np.diff(est.block_costs) <= 1e-10)
+
     def test_explicit_init_is_used(self, basis, intrinsics):
         c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 13)
         obs = KeypointObservations(pixels, np.ones(basis.num_keypoints))

@@ -157,6 +157,26 @@ class TestSolveWp:
             costs = np.array(est.block_costs)
             assert np.all(np.diff(costs) <= 1e-10)
 
+    def test_offset_is_at_its_closed_form(self, basis):
+        # the offset is eliminated at the weighted means, so its gradient
+        # vanishes to rounding whatever block the descent stopped after
+        lam = wp_solver.default_lambda(basis)
+        for seed in range(20):
+            obs, _ = make_wp_obs(basis, 20 + seed, coeff_scale=0.5)
+            rng = np.random.default_rng(seed)
+            obs = KeypointObservations(
+                obs.w + rng.normal(0.0, 0.002, obs.w.shape),
+                rng.uniform(0.2, 1.0, obs.num_keypoints),
+            )
+            est = solve_wp(obs, basis, SolverOptions(record_block_costs=True))
+            _, _, g_tbar, _ = wp_cost_gradient(
+                obs, basis, est.s, est.c, est.rbar, est.tbar, lam
+            )
+            spread = obs.w - (obs.w @ obs.d / obs.d.sum())[:, None]
+            scale = float(np.sum(obs.d * np.linalg.norm(spread, axis=0)))
+            assert np.linalg.norm(g_tbar) <= 1e-12 * scale
+            assert len(est.block_costs) == 1 + 3 * est.iterations
+
     def test_stationarity_of_closed_form_blocks(self, basis):
         obs, _ = make_wp_obs(basis, 30, coeff_scale=0.5)
         rng = np.random.default_rng(31)
