@@ -9,16 +9,19 @@ blocks on that form, each followed by the depths as ray projections:
 - Block A fixes R: T and c solve one (3+k)x(3+k) ridge system.
 - Block B fixes c: with T eliminated too, safeguarded Newton steps on SO(3)
   minimize the 9x9 form vec(R)^T Omega(c) vec(R) (Hesch & Roumeliotis, "DLS",
-  ICCV 2011), contracted from tensors formed once per fit.
+  ICCV 2011). A step is one stacked contraction of Omega with R and the float
+  Newton update on SO(3) that the weak-perspective rows solver also takes.
 
-A block that would raise the cost, or pin a confident depth at the floor in
-block B, solves for the current depths instead: (T, c) in block A, weighted
-Procrustes in block B. The fit starts from the weak-perspective solution.
+A block that would raise the cost (in block B, by more than 8 ulps), or pin a
+confident depth at the floor in block B, solves for the current depths
+instead: (T, c) in block A, weighted Procrustes in block B. The fit starts
+from the weak-perspective solution.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +29,9 @@ import numpy as np
 from .errors import (
     BehindCameraError, DegenerateGeometryError, InsufficientConstraintsError
 )
-from .geometry import normalize_keypoints, project_to_so3, so3_exp, weighted_procrustes
+from .geometry import (
+    hat, normalize_keypoints, project_to_so3, so3_newton_rows, weighted_procrustes
+)
 from .observations import KeypointObservations
 from .shape_basis import compose_shape
 from .wp_solver import SolverOptions, default_lambda, solve_wp, _cleaned_w
@@ -105,9 +110,9 @@ def fp_cost_gradient(obs, intrinsics, basis, rotation, translation, c, depths, l
 
 
 def _object_space_form(wt, d, basis):
-    """The stack d_i P_i, A^-1 L_j and K_jl - L_j^T A^-1 L_l (one row per (j, l))
-    for A = sum_i d_i P_i, L_j = sum_i d_i (P_i kron B_ji^T) and
-    K_jl = sum_i d_i (P_i kron B_ji B_li^T), with B_0 = b0 and B_j = mode j."""
+    """The stack d_i P_i and a table whose rows (j, l) hold K_jl - L_j^T A^-1 L_l
+    and, for j = 0, A^-1 L_l, for A = sum_i d_i P_i, L_j = sum_i d_i (P_i kron
+    B_ji^T) and K_jl = sum_i d_i (P_i kron B_ji B_li^T), B_0 = b0, B_j = mode j."""
     k, p = basis.num_modes, basis.num_keypoints
     # d_i (I - v_i v_i^T / |v_i|^2): the weighted object-space projector of ray i
     outer = np.einsum("ap,bp->pab", wt, wt) / np.sum(wt**2, axis=0)[:, None, None]
@@ -122,27 +127,38 @@ def _object_space_form(wt, d, basis):
     ktens = (flat[:, None] * flat[None]).reshape(-1, p) @ dproj.reshape(p, 9)
     ktens = ktens.reshape(k + 1, 3, k + 1, 3, 3, 3).transpose(0, 2, 4, 1, 5, 3)
     schur = np.einsum("ajm,aln->jlmn", ltens.reshape(3, k + 1, 9), ainv_l)
-    return dproj, ainv_l, ktens.reshape(-1, 81) - schur.reshape(-1, 81)
+    table = np.zeros((k + 1, k + 1, 108))
+    table[..., :81] = (ktens.reshape(schur.shape) - schur).reshape(k + 1, k + 1, 81)
+    table[0, :, 81:] = ainv_l.transpose(1, 0, 2).reshape(k + 1, 27)
+    return dproj, table.reshape(-1, 108)
 
 
-def _rotation_form(ainv_l, qtens, c):
-    """Omega and A^-1 L(gamma) at gamma = (1, c). With x = vec(R) (row-major),
-    T = -A^-1 L(gamma) x and every depth its ray projection, the cost is
-    1/2 x^T Omega x + lam/2 |c|^2, Omega = K(gamma) - L(gamma)^T A^-1 L(gamma)."""
+def _rotation_form(table, c):
+    """Omega = K(gamma) - L(gamma)^T A^-1 L(gamma) and A^-1 L(gamma), gamma = (1, c),
+    in one contraction. With x = vec(R) (row-major), T = -A^-1 L(gamma) x and every
+    depth its ray projection, the cost is 1/2 x^T Omega x + lam/2 |c|^2."""
     gamma = np.concatenate([[1.0], c])
-    omega = (np.outer(gamma, gamma).ravel() @ qtens).reshape(9, 9)
-    return 0.5 * (omega + omega.T), np.tensordot(gamma, ainv_l, (0, 1))
+    form = np.outer(gamma, gamma).ravel() @ table
+    return form[:81].reshape(9, 9), form[81:].reshape(3, 9)
+
+
+# R times I, hat(e_a) and sym(e_a e_b^T) - delta_ab I for b <= a
+_STACK = np.array([np.eye(3), *map(hat, np.eye(3))] + [
+    (np.outer(e, f) + np.outer(f, e)) / 2 - (e @ f) * np.eye(3)
+    for a, e in enumerate(np.eye(3)) for f in np.eye(3)[: a + 1]
+])
 
 
 def _form_derivatives(omega, rotation):
-    """mat(omega x), gradient and Hessian of w -> 1/2 x^T omega x at x =
-    vec(R exp(hat(w))), w = 0. With J = [vec(R hat(e_j))] and G = R^T mat(omega x)
-    they are J omega x and J^T omega J + sym(G) - tr(G) I."""
-    mx = omega @ rotation.ravel()
-    g = rotation.T @ mx.reshape(3, 3)
-    jac = np.cross(rotation, np.eye(3)[:, None]).reshape(3, 9)  # R hat(e_j)
-    hess = jac @ omega @ jac.T + 0.5 * (g + g.T) - np.trace(g) * np.eye(3)
-    return mx.reshape(3, 3), jac @ mx, hess
+    """Omega x, the gradient J omega x and the Hessian J^T omega J + sym(G) -
+    tr(G) I (J = [vec(R hat(e_a))], G = R^T mat(omega x)) of w -> 1/2 x^T omega x
+    at x = vec(R exp(hat(w))), w = 0. With V = vec(R _STACK), row 0 of V[:4]
+    omega V^T holds the gradient and <G, _STACK[4:]>, rows 1-3 J omega J^T."""
+    stack = (rotation @ _STACK).reshape(-1, 9)
+    left = stack[:4] @ omega
+    top, *jwj = (left @ stack.T).tolist()
+    lower = jwj[0][1:2] + jwj[1][1:3] + jwj[2][1:4]
+    return left[0], top[1:4], [h + s for h, s in zip(lower, top[4:])]
 
 
 def _minimize_form(omega, rotation, max_steps=50):
@@ -150,31 +166,27 @@ def _minimize_form(omega, rotation, max_steps=50):
     step R exp(hat(w)) is kept only when the Hessian has a Cholesky factor and
     the form does not rise; otherwise one majorization step
     proj_SO(3)(l_max R - mat(omega vec R)) is taken, which cannot raise it.
-    Steps are compared by the change 1/2 (y - x)^T omega (y + x)."""
+    Steps are compared by the change 1/2 (y - x)^T (omega y + omega x), whose
+    omega y comes with the derivatives at y that the next step reuses."""
 
     def change(new):
-        return 0.5 * (new.ravel() - x) @ omega @ (new.ravel() + x)
+        terms = _form_derivatives(omega, new)
+        return 0.5 * float((new.ravel() - rotation.ravel()) @ (terms[0] + mx)), terms
 
-    x, top = rotation.ravel(), None
+    (mx, grad, hess), top = _form_derivatives(omega, rotation), None
     for _ in range(max_steps):
-        grad_mat, grad, hess = _form_derivatives(omega, rotation)
-        tiny = 1e-14 * np.linalg.norm(grad_mat)
-        try:
-            np.linalg.cholesky(hess)
-        except np.linalg.LinAlgError:
-            new = None
-        else:
-            new = rotation @ so3_exp(-np.linalg.solve(hess, grad))
-            step = change(new)
+        tiny = 1e-14 * math.sqrt(mx @ mx)
+        new = so3_newton_rows(rotation.tolist(), grad, hess)
+        if new is not None:
+            step, terms = change(new := np.array(new))
             if 0.0 < step <= tiny:
                 break  # a Newton step rejected only by rounding: the block is solved
         if new is None or step > 0.0:
             top = np.linalg.eigvalsh(omega)[-1] if top is None else top
-            new = project_to_so3(top * rotation - grad_mat)
-            step = change(new)
+            step, terms = change(new := project_to_so3(top * rotation - mx.reshape(3, 3)))
             if step > 0.0:
                 break  # rounding: a majorization step cannot raise the form
-        rotation, x = new, new.ravel()
+        rotation, (mx, grad, hess) = new, terms
         if -step <= tiny:
             break
     return rotation
@@ -231,7 +243,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     wt = normalize_keypoints(w, intrinsics)
     wt_sq = np.sum(wt**2, axis=0)
     k, p = basis.num_modes, basis.num_keypoints
-    dproj, *form = _object_space_form(wt, d, basis)
+    dproj, table = _object_space_form(wt, d, basis)
     dident = d[:, None, None] * np.eye(3)
     ridge = np.diag(np.concatenate([np.zeros(3), np.full(k, lam)]))
     # per-point design A_i = [I, R m_1i ... R m_ki] acting on (T, c)
@@ -259,9 +271,8 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         return z, pinned, _ray_cost(wt, d, rotation, t, shape, cc, z, lam)
 
     if init is not None:
-        rotation, translation = init
-        rotation = np.asarray(rotation, dtype=float)
-        translation = np.asarray(translation, dtype=float).reshape(3)
+        rotation = np.asarray(init[0], dtype=float)
+        translation = np.asarray(init[1], dtype=float).reshape(3)
         c = np.zeros(k)
     else:
         obs_n = KeypointObservations(wt[:2], d, obs.keypoint_names)
@@ -273,8 +284,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     depths = np.sum(wt * (rotation @ shape + translation[:, None]), axis=0) / wt_sq
     current = _ray_cost(wt, d, rotation, translation, shape, c, depths, lam)
     block_costs = [current] if opts.record_block_costs else None
-    iterations = 0
-    converged = False
+    iterations, converged = 0, False
 
     for iterations in range(1, opts.max_iterations + 1):
         prev = current
@@ -288,14 +298,14 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         if block_costs is not None:
             block_costs.append(current)
 
-        # block B: (R, T) with the depths eliminated, then the depths; if that
-        # pins a confident depth or raises the cost, weighted Procrustes for
-        # the current depths, then the exact translation
-        omega, ainv_lg = _rotation_form(*form, c)
+        # block B: (R, T) with the depths eliminated, then the depths; on a pinned
+        # confident depth or a rise beyond 8 ulps, Procrustes for the current depths
+        omega, ainv_lg = _rotation_form(table, c)
         new = _minimize_form(omega, rotation)
         t = -ainv_lg @ new.ravel()
         z, pins, cost = ray_depths(new, t, shape, c)
-        if cost > current or np.any(pins & (d > 0.0)):
+        rise = cost - current > 8.0 * math.ulp(max(cost, current))
+        if rise or np.any(pins & (d > 0.0)):
             target, sbar = wt * depths, shape @ d / d.sum()
             xbar = target @ d / d.sum()
             new = weighted_procrustes(target - xbar[:, None], shape - sbar[:, None], d)

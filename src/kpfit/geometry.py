@@ -6,6 +6,7 @@ degrees appear only in benchmark reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,48 @@ def so3_exp(omega):
         + (np.sin(theta) / theta) * k
         + ((1.0 - np.cos(theta)) / theta**2) * (k @ k)
     )
+
+
+def so3_newton_rows(rows, grad, hess):
+    """Rows of R exp(hat(w)) at R = ``rows`` (nested lists) for the Newton step
+    w = -H^-1 g, in float arithmetic; None when a Cholesky pivot of H, given by
+    its lower triangle (h00, h10, h11, h20, h21, h22), is not positive."""
+    (g0, g1, g2), (h00, h10, h11, h20, h21, h22) = grad, hess
+    # Cholesky factor L of H, then w = -L^-T L^-1 g
+    if not h00 > 0.0:
+        return None
+    l00 = math.sqrt(h00)
+    l10, l20 = h10 / l00, h20 / l00
+    pivot = h11 - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (h21 - l20 * l10) / l11
+    pivot = h22 - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    f0 = g0 / l00
+    f1 = (g1 - l10 * f0) / l11
+    w2 = -(g2 - l20 * f0 - l21 * f1) / l22 / l22
+    w1 = -(f1 + l21 * w2) / l11
+    w0 = -(f0 + l10 * w1 + l20 * w2) / l00
+    # Rodrigues: r exp(hat(w)) = r + a r x w + b ((r.w) w - theta^2 r)
+    theta2 = w0 * w0 + w1 * w1 + w2 * w2
+    theta = math.sqrt(theta2)
+    if theta < 1e-8:
+        a, b = 1.0, 0.5  # second-order series, accurate to ~1e-16 at this scale
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    c = 1.0 - b * theta2
+    new = []
+    for r0, r1, r2 in rows:
+        rw = b * (r0 * w0 + r1 * w1 + r2 * w2)
+        x0 = c * r0 + a * (r1 * w2 - r2 * w1) + rw * w0
+        x1 = c * r1 + a * (r2 * w0 - r0 * w2) + rw * w1
+        x2 = c * r2 + a * (r0 * w1 - r1 * w0) + rw * w2
+        new.append([x0, x1, x2])
+    return new
 
 
 def so3_log(r):

@@ -30,7 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
-from .geometry import check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance
+from .geometry import (
+    check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance, so3_newton_rows
+)
 from .shape_basis import compose_shape
 
 logger = logging.getLogger(__name__)
@@ -253,14 +255,6 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
 
 
-def _rows_moments(w, d, s, shape, tbar):
-    """sum_i d_i |a_i|^2, N = sum_i d_i a_i b_i^T (2x3) and M = sum_i d_i b_i b_i^T
-    (3x3) for a_i = w_i - tbar and b_i = s S_i, as a float and nested lists."""
-    ab = np.concatenate([w - tbar[:, None], s * shape])
-    g = (ab @ (ab * d).T).tolist()
-    return g[0][0] + g[1][1], [row[2:] for row in g[:2]], [row[2:] for row in g[2:]]
-
-
 def _moment_cost(sa, n, m, rows):
     """sum_i d_i |a_i - rbar b_i|^2 = sa - 2 tr(rbar^T N) + tr(rbar M rbar^T) for
     rbar = ``rows[:2]``, which on SO(3) is sa + tr M - 2 tr(rbar^T N) - u^T M u."""
@@ -309,44 +303,7 @@ def _newton_rotation(n, m, rows, mu):
     h10 = 2.0 * m01 - a1 * p0 - a0 * p1 - b1 * q0 - b0 * q1 - u1 * z0 - u0 * z1
     h20 = 2.0 * m02 - a2 * p0 - a0 * p2 - b2 * q0 - b0 * q2 - u2 * z0 - u0 * z2
     h21 = 2.0 * m12 - a2 * p1 - a1 * p2 - b2 * q1 - b1 * q2 - u2 * z1 - u1 * z2
-    # Cholesky factor L of H, then omega = -L^-T L^-1 g
-    if not h00 > 0.0:
-        return None
-    l00 = math.sqrt(h00)
-    l10, l20 = h10 / l00, h20 / l00
-    pivot = h11 - l10 * l10
-    if not pivot > 0.0:
-        return None
-    l11 = math.sqrt(pivot)
-    l21 = (h21 - l20 * l10) / l11
-    pivot = h22 - l20 * l20 - l21 * l21
-    if not pivot > 0.0:
-        return None
-    l22 = math.sqrt(pivot)
-    f0 = g0 / l00
-    f1 = (g1 - l10 * f0) / l11
-    w2 = -(g2 - l20 * f0 - l21 * f1) / l22 / l22
-    w1 = -(f1 + l21 * w2) / l11
-    w0 = -(f0 + l10 * w1 + l20 * w2) / l00
-    # Rodrigues: r exp(hat(w)) = r + a r x w + b ((r.w) w - theta^2 r)
-    theta2 = w0 * w0 + w1 * w1 + w2 * w2
-    theta = math.sqrt(theta2)
-    if theta < 1e-8:
-        a, b = 1.0, 0.5  # second-order series, accurate to ~1e-16 at this scale
-    else:
-        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
-    c = 1.0 - b * theta2
-    new = []
-    for r0, r1, r2 in rows:
-        rw = b * (r0 * w0 + r1 * w1 + r2 * w2)
-        new.append(
-            [
-                c * r0 + a * (r1 * w2 - r2 * w1) + rw * w0,
-                c * r1 + a * (r2 * w0 - r0 * w2) + rw * w1,
-                c * r2 + a * (r0 * w1 - r1 * w0) + rw * w2,
-            ]
-        )
-    return new
+    return so3_newton_rows(rows, (g0, g1, g2), (h00, h10, h11, h20, h21, h22))
 
 
 def _rotation_rows(rbar):
@@ -356,8 +313,13 @@ def _rotation_rows(rbar):
 
 
 def _solve_rows(sa, n, m, rows, max_steps=50):
-    """The step loop of _update_rbar on its moments from the rotation ``rows``;
-    returns the final rows and the summed change of the cost."""
+    """Rows minimizing sum_i d_i |a_i - rbar b_i|^2 from ``rows``, in float
+    arithmetic on its moments sa = sum_i d_i |a_i|^2, N = sum_i d_i a_i b_i^T (2x3)
+    and M = sum_i d_i b_i b_i^T (3x3), with the summed change of the cost. A step
+    is a safeguarded Newton step (see the module docstring) or else one
+    completion pass: the Procrustes rotation of the cross-covariance [N; u^T M],
+    which fills in the missing image row with u^T b_i. Steps are compared by
+    their cost change, in which sa cancels exactly."""
     current, total = _moment_cost(sa, n, m, rows), 0.0
     for _ in range(max_steps):
         u0, u1, u2 = rows[2]
@@ -375,21 +337,6 @@ def _solve_rows(sa, n, m, rows, max_steps=50):
         if -change <= 1e-14 * max(prev, 1.0):
             break
     return rows, total
-
-
-def _update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
-    """Exact minimizer of the 2D cost over the orthonormal rows, all else fixed.
-
-    With a_i = w_i - tbar, b_i = s S_i and R = [rbar; u] (u = r1 x r2), the
-    cost sum_i d_i |a_i - rbar b_i|^2 depends on the data only through the
-    moments of _rows_moments, so the step loop is plain float arithmetic on
-    them. A step is a safeguarded Newton step (see the module docstring) or
-    else one completion pass: the Procrustes rotation of the cross-covariance
-    [N; u^T M], which fills in the missing image row with u^T b_i. Steps are
-    compared by their cost change, in which sum_i d_i |a_i|^2 cancels exactly.
-    """
-    moments = _rows_moments(w, d, s, shape, tbar)
-    return np.array(_solve_rows(*moments, _rotation_rows(rbar), max_steps)[0][:2])
 
 
 def _bcd_wp(w, d, moments, basis, s, rbar, lam, opts):

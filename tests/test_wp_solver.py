@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -379,13 +381,30 @@ def rotation_block_scene(basis, seed):
     return w, d, s, c, shape, tbar, random_rotation(rng)[:2]
 
 
+def rows_moments(w, d, s, shape, tbar):
+    """sum_i d_i |a_i|^2, N = sum_i d_i a_i b_i^T (2x3) and M = sum_i d_i b_i b_i^T
+    (3x3) for a_i = w_i - tbar and b_i = s S_i, as a float and nested lists."""
+    ab = np.concatenate([w - tbar[:, None], s * shape])
+    g = (ab @ (ab * d).T).tolist()
+    return g[0][0] + g[1][1], [row[2:] for row in g[:2]], [row[2:] for row in g[2:]]
+
+
+def update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
+    """The WP rotation-rows block on one scene with s, c and tbar fixed:
+    wp_solver._solve_rows on the moments of a_i = w_i - tbar and b_i = s S_i,
+    from ``rbar``."""
+    rows = wp_solver._rotation_rows(rbar)
+    moments = rows_moments(w, d, s, shape, tbar)
+    return np.array(wp_solver._solve_rows(*moments, rows, max_steps)[0][:2])
+
+
 def rows_cost(w, d, s, shape, tbar, rbar):
     return float(np.sum(d * np.sum((w - tbar[:, None] - s * (rbar @ shape)) ** 2, axis=0)))
 
 
 def numpy_update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
     """Reference rotation block: the same safeguarded Newton steps and
-    completion passes as wp_solver._update_rbar, written with numpy 3x3
+    completion passes as update_rbar, written with numpy 3x3
     arrays and with every cost summed over the keypoints."""
     a = w - tbar[:, None]
     b = s * shape
@@ -450,7 +469,7 @@ class TestRotationBlock:
     def test_reaches_stationary_point(self, basis):
         for seed in range(20):
             w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 300 + seed)
-            rbar = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            rbar = update_rbar(w, d, s, shape, tbar, start)
             g_omega = wp_cost_gradient(
                 KeypointObservations(w, d), basis, s, c, rbar, tbar, 0.0
             )[3]
@@ -463,7 +482,7 @@ class TestRotationBlock:
             b = s * shape
             completed = np.vstack([w - tbar[:, None], lift_stiefel(start)[2] @ b])
             one_pass = weighted_procrustes(completed, b, d)[:2]
-            rbar = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            rbar = update_rbar(w, d, s, shape, tbar, start)
             assert rows_cost(w, d, s, shape, tbar, rbar) <= rows_cost(
                 w, d, s, shape, tbar, one_pass
             ) * (1.0 + 1e-12)
@@ -481,14 +500,14 @@ class TestRotationBlock:
         monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
         for seed in range(5):
             w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 500 + seed)
-            best = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+            best = update_rbar(w, d, s, shape, tbar, start)
             best_cost = rows_cost(w, d, s, shape, tbar, best)
             for axis in np.eye(3):
                 # about 176 degrees from the optimum, far outside the region
                 # where plain Newton steps descend
                 far = (lift_stiefel(best) @ so3_exp(0.98 * np.pi * axis))[:2]
                 calls.clear()
-                rbar = wp_solver._update_rbar(w, d, s, shape, tbar, far)
+                rbar = update_rbar(w, d, s, shape, tbar, far)
                 assert calls
                 assert rows_cost(w, d, s, shape, tbar, rbar) < rows_cost(
                     w, d, s, shape, tbar, far
@@ -511,9 +530,9 @@ def test_rotation_block_at_its_solution_needs_no_completion_pass(basis, monkeypa
     monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
     for seed in range(20):
         w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 600 + seed)
-        solved = wp_solver._update_rbar(w, d, s, shape, tbar, start)
+        solved = update_rbar(w, d, s, shape, tbar, start)
         calls.clear()
-        again = wp_solver._update_rbar(w, d, s, shape, tbar, solved)
+        again = update_rbar(w, d, s, shape, tbar, solved)
         assert not calls
         assert rows_cost(w, d, s, shape, tbar, again) <= rows_cost(
             w, d, s, shape, tbar, solved
@@ -526,10 +545,10 @@ def test_rotation_block_matches_numpy_reference(basis, seed):
         scene, starts = rotation_block_starts(basis, seed + offset)
         for start in starts:
             # one step (Newton or completion pass) is the same arithmetic
-            one = wp_solver._update_rbar(*scene, start, max_steps=1)
+            one = update_rbar(*scene, start, max_steps=1)
             assert np.max(np.abs(one - numpy_update_rbar(*scene, start, 1))) <= 1e-12
             ref = numpy_update_rbar(*scene, start)
-            rbar = wp_solver._update_rbar(*scene, start)
+            rbar = update_rbar(*scene, start)
             assert rows_cost(*scene, rbar) == pytest.approx(
                 rows_cost(*scene, ref), rel=1e-12
             )
@@ -539,10 +558,104 @@ def test_rotation_block_matches_numpy_reference(basis, seed):
             assert np.max(np.abs(rbar - ref)) <= 1e-8
 
 
+def frozen_newton_rotation(n, m, rows, mu):
+    """A frozen copy of the WP rows Newton step as it was before its Cholesky
+    solve and Rodrigues update moved to geometry.so3_newton_rows.
+
+    R exp(hat(omega)) for the Newton step omega of the cost at R = ``rows``,
+    or None when the Hessian is not positive definite (a Cholesky pivot <= 0).
+
+    For omega -> cost(R exp(hat(omega))) at 0 the gradient is
+    2 (r1 x n1 + r2 x n2 + u x mu) and, as |u| = 1, the Hessian is
+    2 (tr Y - u.mu) I + 2 M - Y - Y^T with Y = R^T [n1; n2; 3 mu - tr(M) u].
+    """
+    (a0, a1, a2), (b0, b1, b2), (u0, u1, u2) = rows
+    (p0, p1, p2), (q0, q1, q2) = n
+    (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+    v0, v1, v2 = mu
+    g0 = 2.0 * (a1 * p2 - a2 * p1 + b1 * q2 - b2 * q1 + u1 * v2 - u2 * v1)
+    g1 = 2.0 * (a2 * p0 - a0 * p2 + b2 * q0 - b0 * q2 + u2 * v0 - u0 * v2)
+    g2 = 2.0 * (a0 * p1 - a1 * p0 + b0 * q1 - b1 * q0 + u0 * v1 - u1 * v0)
+    trm = m00 + m11 + m22
+    z0, z1, z2 = 3.0 * v0 - trm * u0, 3.0 * v1 - trm * u1, 3.0 * v2 - trm * u2
+    y00 = a0 * p0 + b0 * q0 + u0 * z0
+    y11 = a1 * p1 + b1 * q1 + u1 * z1
+    y22 = a2 * p2 + b2 * q2 + u2 * z2
+    diag = 2.0 * (y00 + y11 + y22 - u0 * v0 - u1 * v1 - u2 * v2)
+    h00 = diag + 2.0 * (m00 - y00)
+    h11 = diag + 2.0 * (m11 - y11)
+    h22 = diag + 2.0 * (m22 - y22)
+    h10 = 2.0 * m01 - a1 * p0 - a0 * p1 - b1 * q0 - b0 * q1 - u1 * z0 - u0 * z1
+    h20 = 2.0 * m02 - a2 * p0 - a0 * p2 - b2 * q0 - b0 * q2 - u2 * z0 - u0 * z2
+    h21 = 2.0 * m12 - a2 * p1 - a1 * p2 - b2 * q1 - b1 * q2 - u2 * z1 - u1 * z2
+    # Cholesky factor L of H, then omega = -L^-T L^-1 g
+    if not h00 > 0.0:
+        return None
+    l00 = math.sqrt(h00)
+    l10, l20 = h10 / l00, h20 / l00
+    pivot = h11 - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (h21 - l20 * l10) / l11
+    pivot = h22 - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    f0 = g0 / l00
+    f1 = (g1 - l10 * f0) / l11
+    w2 = -(g2 - l20 * f0 - l21 * f1) / l22 / l22
+    w1 = -(f1 + l21 * w2) / l11
+    w0 = -(f0 + l10 * w1 + l20 * w2) / l00
+    # Rodrigues: r exp(hat(w)) = r + a r x w + b ((r.w) w - theta^2 r)
+    theta2 = w0 * w0 + w1 * w1 + w2 * w2
+    theta = math.sqrt(theta2)
+    if theta < 1e-8:
+        a, b = 1.0, 0.5  # second-order series, accurate to ~1e-16 at this scale
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    c = 1.0 - b * theta2
+    new = []
+    for r0, r1, r2 in rows:
+        rw = b * (r0 * w0 + r1 * w1 + r2 * w2)
+        new.append(
+            [
+                c * r0 + a * (r1 * w2 - r2 * w1) + rw * w0,
+                c * r1 + a * (r2 * w0 - r0 * w2) + rw * w1,
+                c * r2 + a * (r0 * w1 - r1 * w0) + rw * w2,
+            ]
+        )
+    return new
+
+
+def test_newton_rotation_is_bit_identical_to_its_frozen_copy():
+    rng = np.random.default_rng(2024)
+    kept = 0
+    for trial in range(1000):
+        rows = random_rotation(rng).tolist()
+        n = (rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-3, 3)).tolist()
+        b = rng.normal(size=(3, 3))
+        # moments of a point cloud, or an indefinite M for Hessians without
+        # a Cholesky factor
+        m = b @ b.T if trial % 2 else 0.5 * (b + b.T)
+        m = (m * 10.0 ** rng.uniform(-3, 3)).tolist()
+        if trial % 2:
+            # at a minimizer (steps below the series threshold) or near one
+            rows = wp_solver._solve_rows(1.0, n, m, rows)[0]
+            if trial % 4 == 3:
+                rows = (np.array(rows) @ so3_exp(rng.normal(0.0, 0.1, 3))).tolist()
+        u0, u1, u2 = rows[2]
+        mu = [mr[0] * u0 + mr[1] * u1 + mr[2] * u2 for mr in m]
+        got = wp_solver._newton_rotation(n, m, rows, mu)
+        assert got == frozen_newton_rotation(n, m, rows, mu), trial
+        kept += got is not None
+    assert 0 < kept < 1000
+
+
 def test_moment_cost_matches_keypoint_sum(basis):
     for seed in range(300, 320):
         scene, starts = rotation_block_starts(basis, seed)
-        moments = wp_solver._rows_moments(*scene)
+        moments = rows_moments(*scene)
         for start in starts:
             rows = lift_stiefel(start).tolist()
             assert wp_solver._moment_cost(*moments, rows) == pytest.approx(
