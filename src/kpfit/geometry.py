@@ -239,14 +239,9 @@ class CameraIntrinsics:
     def project(self, points):
         """Pinhole projection of 3xp camera-frame points to 2xp pixels."""
         points = np.asarray(points, dtype=float)
-        z = points[2]
-        if np.any(z <= 0.0):
+        if np.any(points[2] <= 0.0):
             raise DegenerateGeometryError("points behind the camera cannot be projected")
-        xn = points[0] / z
-        yn = points[1] / z
-        return np.vstack(
-            [self.fx * xn + self.skew * yn + self.cx, self.fy * yn + self.cy]
-        )
+        return self.denormalize(points)
 
     def denormalize(self, normalized):
         """Map 3xp normalized homogeneous coordinates back to 2xp pixels."""

@@ -52,14 +52,9 @@ def _dlt_pose(points3d, points2d_norm):
 
 def _reprojection_residuals(points3d, points2d, intrinsics, rotation, translation):
     cam = rotation @ points3d + translation[:, None]
-    z = cam[2]
-    if np.any(z <= 0.0):
+    if np.any(cam[2] <= 0.0):
         return None, None
-    xn = cam[0] / z
-    yn = cam[1] / z
-    px = intrinsics.fx * xn + intrinsics.skew * yn + intrinsics.cx
-    py = intrinsics.fy * yn + intrinsics.cy
-    resid = np.vstack([px, py]) - points2d
+    resid = intrinsics.denormalize(cam) - points2d
     return resid.T.ravel(), cam
 
 
@@ -74,16 +69,9 @@ def _reprojection_jacobian(points3d, cam, rotation, intrinsics):
     dpi[:, 0, 2] = -(intrinsics.fx * u0 + intrinsics.skew * u1) / u2**2
     dpi[:, 1, 1] = intrinsics.fy / u2
     dpi[:, 1, 2] = -intrinsics.fy * u1 / u2**2
-    x0, x1, x2 = points3d
-    zero = np.zeros(p)
-    hats = np.stack(  # hat(x_i) for every model point
-        [
-            np.stack([zero, -x2, x1], axis=-1),
-            np.stack([x2, zero, -x0], axis=-1),
-            np.stack([-x1, x0, zero], axis=-1),
-        ],
-        axis=1,
-    )
+    hats = np.zeros((p, 3, 3))  # hat(x_i): x_i at (2,1), (0,2), (1,0), -x_i mirrored
+    hats[:, [2, 0, 1], [1, 2, 0]] = points3d.T
+    hats[:, [1, 2, 0], [2, 0, 1]] = -points3d.T
     du_domega = -rotation @ hats
     return np.concatenate([dpi @ du_domega, dpi], axis=2).reshape(2 * p, 6)
 
@@ -137,11 +125,11 @@ def solve_pnp(points3d, points2d, intrinsics, max_iterations=100):
         cand_res, cand_cam = _reprojection_residuals(
             points3d, points2d, intrinsics, cand_rot, cand_t
         )
-        if cand_res is not None and _rmse(cand_res, p) < rmse:
-            improvement = rmse - _rmse(cand_res, p)
+        cand_rmse = np.inf if cand_res is None else _rmse(cand_res, p)
+        if cand_rmse < rmse:
+            improvement = rmse - cand_rmse
             rotation, translation = cand_rot, cand_t
-            residuals, cam = cand_res, cand_cam
-            rmse = _rmse(residuals, p)
+            residuals, cam, rmse = cand_res, cand_cam, cand_rmse
             damping = max(damping / 10.0, 1e-12)
             if improvement < 1e-14 * max(rmse, 1.0):
                 break

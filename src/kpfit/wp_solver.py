@@ -6,11 +6,11 @@ convex relaxation that fixes the shape to the mean and replaces the
 row-orthonormality constraint with a spectral-norm regularizer (Zhou,
 Leonardos, Hu & Daniilidis, CVPR 2015). In both stages the offset is
 eliminated exactly at the weighted means, so both see the keypoints only
-through weighted moments of centred rows formed once per fit: the relaxation
-those of [W; B0], the descent the Gram of [W; B0; B_1 .. B_k]. Every step is
-a contraction of these with the current coefficients and rows, so no step
-passes over the keypoints. Every block is an exact minimizer, so the cost
-never rises:
+through one Gram of the centred rows [W; B0; B_1 .. B_k], formed once per fit:
+the relaxation reads its leading 5x5 block, the moments of [W; B0], and the
+descent all of it. Every step is a contraction of these with the current
+coefficients and rows, so no step passes over the keypoints. Every block is
+an exact minimizer, so the cost never rises:
 
 - scale and shape coefficients are weighted least-squares solves;
 - the rotation rows take Newton steps R <- R exp(hat(omega)) on SO(3) in
@@ -43,7 +43,12 @@ class SolverOptions:
     """Shared options for the weak- and full-perspective solvers.
 
     ``lam`` (Tikhonov weight) and ``mu`` (spectral-norm weight for the convex
-    initialization) default to data-scaled heuristics when left as None.
+    initialization) default to data-scaled heuristics when left as None:
+    ``default_lambda`` of the basis, and mu = 0.01 ||(W - wbar) D^(1/2)||_F for
+    the weighted mean wbar of the keypoints W (in the solver's coordinates:
+    pixels for solve_wp, normalized image coordinates for solve_fp's WP init).
+    Centring removes the principal-point offset, which would otherwise
+    dominate the norm and over-shrink the relaxed pose.
     """
 
     lam: float = None
@@ -94,17 +99,6 @@ def default_lambda(basis):
     if mean_eig <= 0.0:
         return 0.0
     return 1e-2 / mean_eig
-
-
-def default_mu(w, d):
-    """Spectral-norm weight 0.01 * ||(W - mean) D^(1/2)||_F.
-
-    Centering removes the principal-point offset, which would otherwise
-    dominate the Frobenius norm and over-shrink the relaxed pose.
-    """
-    pos = d > 0.0
-    centered = w[:, pos] - (w[:, pos] @ d[pos] / d[pos].sum())[:, None]
-    return 0.01 * float(np.sqrt(np.sum(d[pos] * np.sum(centered**2, axis=0))))
 
 
 def _cleaned_w(obs):
@@ -192,39 +186,35 @@ def _prox_spectral(y, t):
     ], top
 
 
-def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
+def convex_init(moments, mu, max_iterations=5000, tol=1e-10):
     """Globally solve the relaxed problem (c = 0, spectral-norm regularizer).
 
-    Minimizes 0.5 ||(W - M B0 - tbar 1^T) D^(1/2)||_F^2 + mu ||M||_2 over the
-    unconstrained 2x3 matrix M by proximal gradient with the offset eliminated
-    in closed form, then factors M into scale and orthonormal rows. Returns
-    both reflection-consistent candidates as a list of (s, rbar, tbar) tuples
-    ranked by the unrelaxed cost at c = 0.
+    ``moments`` is the 5x5 matrix sum_i d_i x_i x_i^T of the rows x = [W; B0]
+    centred at their weighted means, the leading block of solve_wp's Gram.
+    Minimizes 0.5 ||(Wc - M Bc) D^(1/2)||_F^2 + mu ||M||_2 over the
+    unconstrained 2x3 matrix M by proximal gradient (the offset is exact at
+    the weighted means), then factors M into scale and orthonormal rows.
+    Returns both reflection-consistent candidates as a list of (s, rbar)
+    pairs ranked by the unrelaxed cost at c = 0.
 
-    With G = Bc D Bc^T and C = Wc D Bc^T from the centred rows, the gradient
+    With G = Bc D Bc^T and C = Wc D Bc^T read from ``moments``, the gradient
     is M G - C; steps run on floats and are compared by their exact change
     <M' - M, (M' + M) G / 2 - C> + mu (||M'||_2 - ||M||_2).
     """
-    d = np.asarray(obs.d, dtype=float)
-    dsum = d.sum()
-    if dsum <= 0.0:
-        raise InsufficientConstraintsError("all keypoint confidences are zero")
-    if np.count_nonzero(d > 0.0) < 3:
-        raise InsufficientConstraintsError("need at least 3 weighted keypoints")
-    rows = np.concatenate([_cleaned_w(obs), np.asarray(b0, dtype=float)])
-    mean = rows @ d / dsum
-    centred = rows - mean[:, None]
-    moments = centred @ (centred * d).T
+    moments = np.asarray(moments, dtype=float)
+    if moments.shape != (5, 5):
+        raise ValueError("moments must be the 5x5 moments of the centred [W; B0]")
     eigs = np.linalg.eigvalsh(moments[2:, 2:])
     if eigs[-1] <= 0.0 or eigs[1] <= 1e-12 * eigs[-1]:
         raise DegenerateGeometryError("mean shape is (near-)collinear")
     step = 1.0 / eigs[-1]
     (g00, g01, g02), (_, g11, g12), (_, _, g22) = moments[2:, 2:].tolist()
     cov = moments[:2, 2:].tolist()
+    sww = float(moments[0, 0] + moments[1, 1])
 
     m = mg = [[0.0] * 3] * 2  # M and M G
     norm = 0.0  # ||M||_2
-    current = 0.5 * float(moments[0, 0] + moments[1, 1])
+    current = 0.5 * sww
     for _ in range(max_iterations):
         y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
         new, new_norm = _prox_spectral(y, step * mu)
@@ -243,16 +233,12 @@ def convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     u, sv, vt = np.linalg.svd(np.array(m), full_matrices=False)
     s_est = float((sv[0] + sv[1]) / 2.0)
     rbar_a = u @ vt
-    rbar_b = rbar_a @ np.diag([1.0, 1.0, -1.0])
-
-    candidates = []
-    for rbar in (rbar_a, rbar_b):
-        tbar = mean[:2] - s_est * (rbar @ mean[2:])
-        resid = centred[:2] - s_est * (rbar @ centred[2:])  # offset at weighted means
-        cost = 0.5 * np.sum(d * np.sum(resid**2, axis=0))
-        candidates.append((cost, s_est, rbar, tbar))
-    candidates.sort(key=lambda t: t[0])
-    return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
+    n = (s_est * moments[:2, 2:]).tolist()
+    g = (s_est * s_est * moments[2:, 2:]).tolist()
+    return sorted(  # by the cost with the offset at the weighted means
+        [(s_est, rbar_a), (s_est, rbar_a @ np.diag([1.0, 1.0, -1.0]))],
+        key=lambda cand: _moment_cost(sww, n, g, cand[1].tolist()),
+    )
 
 
 def _moment_cost(sa, n, m, rows):
@@ -434,9 +420,10 @@ def solve_wp(obs, basis, opts=None):
     """Fit the weak-perspective model to confidence-weighted keypoints.
 
     Runs block coordinate descent from both reflection candidates of the
-    convex initialization and returns the lower-cost estimate. Both descents
-    share one Gram of the rows [w; b0; B_1 .. B_k] centred at their weighted
-    means, which eliminates the offset.
+    convex initialization and returns the lower-cost estimate. The keypoints
+    are reduced once, to the Gram of the rows [w; b0; B_1 .. B_k] centred at
+    their weighted means, which eliminates the offset: the default mu, the
+    relaxation (its leading 5x5 block) and both descents read it.
     """
     opts = opts or SolverOptions()
     d = np.asarray(obs.d, dtype=float)
@@ -455,16 +442,17 @@ def solve_wp(obs, basis, opts=None):
     if sv[1] <= 1e-9 * max(sv[0], 1e-300):
         raise DegenerateGeometryError("weighted observed keypoints are collinear")
 
-    lam = opts.lam if opts.lam is not None else default_lambda(basis)
-    mu = opts.mu if opts.mu is not None else default_mu(w, d)
-
     gram = rows @ (rows * d).T
+    sww = float(gram[0, 0] + gram[1, 1])
+    lam = opts.lam if opts.lam is not None else default_lambda(basis)
+    mu = opts.mu if opts.mu is not None else 0.01 * math.sqrt(sww)
+
     qwm = gram[:2, 2:].reshape(2, k + 1, 3).transpose(1, 0, 2).reshape(k + 1, 6)
     qmm = gram[2:, 2:].reshape(k + 1, 3, k + 1, 3).transpose(0, 2, 1, 3).reshape(-1, 9)
-    moments = mean[:2], mean[2:].reshape(k + 1, 3), gram[0, 0] + gram[1, 1], qwm, qmm
+    moments = mean[:2], mean[2:].reshape(k + 1, 3), sww, qwm, qmm
     results = [
         _bcd_wp(w, d, moments, basis, s0, rbar0, lam, opts)
-        for s0, rbar0, _ in convex_init(obs, basis.b0, mu)
+        for s0, rbar0 in convex_init(gram[:5, :5], mu)
     ]
     best = _choose_candidate(results)
     if not best.converged:

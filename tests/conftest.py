@@ -16,6 +16,12 @@ def make_basis(seed=0, p=12, k=2, eigenvalues=(0.09, 0.04), class_name="toy"):
     return ShapeBasis(class_name, b0, modes, np.array(eigenvalues[:k]))
 
 
+def array_mu(w, d):
+    """The default spectral-norm weight 0.01 ||(W - wbar) D^(1/2)||_F, from arrays."""
+    centred = w - (w @ d / d.sum())[:, None]
+    return 0.01 * float(np.sqrt(np.sum(d * np.sum(centred**2, axis=0))))
+
+
 def random_rotation(rng):
     return _uniform_rotation(rng)
 

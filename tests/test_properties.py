@@ -22,8 +22,8 @@ from kpfit import (
     solve_fp,
     solve_wp,
 )
-from kpfit.wp_solver import default_lambda, default_mu
-from conftest import make_basis, make_fp_scene
+from kpfit.wp_solver import default_lambda
+from conftest import array_mu, make_basis, make_fp_scene
 
 
 def noisy_scene(basis, intrinsics, seed):
@@ -119,7 +119,7 @@ def test_fp_confidence_scale_leaves_the_argmin(basis, intrinsics, seed, alpha):
     # with lam and mu scaled too, every cost (WP init and FP) scales by alpha
     pixels, d = noisy_scene(basis, intrinsics, 860 + seed)
     lam = default_lambda(basis)
-    mu = default_mu(normalize_keypoints(pixels, intrinsics)[:2], d)
+    mu = array_mu(normalize_keypoints(pixels, intrinsics)[:2], d)
     opts = SolverOptions(lam=lam, mu=mu)
     est = solve_fp(KeypointObservations(pixels, d), intrinsics, basis, opts)
     scaled = solve_fp(

@@ -7,6 +7,7 @@ from kpfit import (
     DegenerateGeometryError,
     InsufficientConstraintsError,
     KeypointObservations,
+    ShapeBasis,
     SolverOptions,
     compose_shape,
     convex_init,
@@ -21,7 +22,7 @@ from kpfit import (
 )
 from kpfit import wp_solver
 from kpfit.geometry import hat
-from conftest import make_basis, random_rotation
+from conftest import array_mu, make_basis, random_rotation
 
 
 def make_wp_obs(basis, seed, s=0.01, coeff_scale=1.0, d=None):
@@ -35,6 +36,14 @@ def make_wp_obs(basis, seed, s=0.01, coeff_scale=1.0, d=None):
     if d is None:
         d = np.ones(basis.num_keypoints)
     return KeypointObservations(w, d), (s, c, rotation, tbar)
+
+
+def wp_moments(obs, b0):
+    """5x5 weighted moments of the centred [W; B0], formed from arrays."""
+    d = obs.d
+    rows = np.concatenate([wp_solver._cleaned_w(obs), b0])
+    rows = rows - (rows @ d / d.sum())[:, None]
+    return rows @ (rows * d).T
 
 
 def random_theta(basis, seed):
@@ -89,17 +98,14 @@ class TestCostWp:
 class TestConvexInit:
     def test_noiseless_recovery(self, basis):
         obs, (s, c, rotation, tbar) = make_wp_obs(basis, 4, coeff_scale=0.0)
-        (s0, rbar0, tbar0), _ = convex_init(obs, basis.b0, mu=1e-8)
+        (s0, rbar0), _ = convex_init(wp_moments(obs, basis.b0), mu=1e-8)
         assert s0 == pytest.approx(s, rel=1e-6)
         assert geodesic_distance(lift_stiefel(rbar0), rotation) < 1e-4
 
     def test_large_mu_kills_pose(self, basis):
         obs, _ = make_wp_obs(basis, 5)
-        cands = convex_init(obs, basis.b0, mu=1e9)
-        s0, _, tbar0 = cands[0]
+        s0, _ = convex_init(wp_moments(obs, basis.b0), mu=1e9)[0]
         assert s0 < 1e-8
-        mean = obs.w @ obs.d / obs.d.sum()
-        assert np.allclose(tbar0, mean, atol=1e-8)
 
     def test_relaxed_objective_is_convex(self, basis):
         # midpoint objective never exceeds the endpoint mean
@@ -269,7 +275,7 @@ class TestSolveWp:
         w = obs.w + rng.normal(0.0, 0.002, obs.w.shape)
         d = rng.uniform(0.2, 1.0, obs.num_keypoints)
         alpha = rng.uniform(0.01, 100.0)
-        lam, mu = 0.05, wp_solver.default_mu(w, d)
+        lam, mu = 0.05, array_mu(w, d)
         est1 = solve_wp(
             KeypointObservations(w, d), basis, SolverOptions(lam=lam, mu=mu)
         )
@@ -297,6 +303,55 @@ class TestSolveWp:
         obs = KeypointObservations(w, np.ones(basis.num_keypoints))
         with pytest.raises(DegenerateGeometryError):
             solve_wp(obs, basis)
+
+    @pytest.mark.parametrize("off_line_confidence", [None, 0.0])
+    def test_collinear_confident_mean_shape_rejected(self, off_line_confidence):
+        # b0 on a line, except point 0 when it carries no confidence: the
+        # weighted moments of the centred mean shape then have rank 1, while
+        # the observations are not collinear
+        basis = make_basis(seed=3, p=8)
+        rng = np.random.default_rng(960)
+        line = np.outer([0.3, -0.5, 0.8], np.linspace(-1.0, 1.0, 8))
+        b0 = line + np.array([[0.1], [0.2], [-0.4]])
+        d = np.ones(8)
+        if off_line_confidence is not None:
+            b0[:, 0] = [0.7, 0.9, 0.2]
+            d[0] = off_line_confidence
+        basis = ShapeBasis(basis.class_name, b0, basis.modes, basis.eigenvalues)
+        obs = KeypointObservations(rng.normal(size=(2, 8)), d)
+        with pytest.raises(DegenerateGeometryError, match="mean shape"):
+            solve_wp(obs, basis)
+        if off_line_confidence is not None:  # a confident point 0 is enough
+            assert solve_wp(KeypointObservations(obs.w, np.ones(8)), basis).s > 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_convex_init_reads_the_fit_gram_once(self, basis, seed, monkeypatch):
+        calls = []
+        original = wp_solver.convex_init
+
+        def recording(moments, mu, *args, **kwargs):
+            calls.append((np.array(moments), mu))
+            return original(moments, mu, *args, **kwargs)
+
+        monkeypatch.setattr(wp_solver, "convex_init", recording)
+        obs, _ = make_wp_obs(basis, 970 + seed, s=50.0, coeff_scale=0.5)
+        rng = np.random.default_rng(980 + seed)
+        w = obs.w + rng.normal(0.0, 0.5, obs.w.shape) + rng.normal(0.0, 300.0, (2, 1))
+        d = rng.uniform(0.2, 1.0, basis.num_keypoints)
+        d[seed] = 0.0
+        w[:, seed] = np.nan  # a zero-confidence column may hold anything
+        obs = KeypointObservations(w, d)
+        solve_wp(obs, basis, SolverOptions())
+        assert len(calls) == 1
+        moments, mu = calls[0]
+        ref = wp_moments(obs, basis.b0)
+        assert mu == pytest.approx(array_mu(wp_solver._cleaned_w(obs), d), rel=1e-12)
+        assert moments.shape == (5, 5)
+        assert np.max(np.abs(moments - ref)) <= 1e-12 * np.abs(ref).max()
+        # an explicit mu is passed through unchanged
+        calls.clear()
+        solve_wp(obs, basis, SolverOptions(mu=0.25))
+        assert len(calls) == 1 and calls[0][1] == 0.25
 
     def test_final_cost_consistent(self, basis):
         obs, _ = make_wp_obs(basis, 70, coeff_scale=0.5)
@@ -678,7 +733,8 @@ def numpy_prox_spectral(m, t):
 def numpy_convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     """Reference relaxation: the same proximal-gradient iterates as
     wp_solver.convex_init, with O(p) array passes and an SVD per prox and
-    per objective."""
+    per objective. Returns the (s, rbar) candidates ranked by their cost at
+    c = 0, with the residuals formed from arrays."""
     d = obs.d
     dsum = d.sum()
     w = wp_solver._cleaned_w(obs)
@@ -707,9 +763,9 @@ def numpy_convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
     for rbar in (u @ vt, u @ vt @ np.diag([1.0, 1.0, -1.0])):
         resid = wc - s_est * (rbar @ bc)
         cost = 0.5 * np.sum(d * np.sum(resid**2, axis=0))
-        candidates.append((cost, s_est, rbar, wbar - s_est * (rbar @ bbar)))
+        candidates.append((cost, s_est, rbar))
     candidates.sort(key=lambda t: t[0])
-    return [(s, rbar, tbar) for _, s, rbar, tbar in candidates]
+    return [(s, rbar) for _, s, rbar in candidates]
 
 
 def assert_prox_matches_reference(y, t):
@@ -791,14 +847,14 @@ class TestFloatRelaxation:
         d = rng.uniform(0.1, 1.0, basis.num_keypoints)
         d[rng.integers(basis.num_keypoints)] = 0.0
         obs = KeypointObservations(w + rng.normal(0.0, 100.0, (2, 1)), d)
-        mu = wp_solver.default_mu(wp_solver._cleaned_w(obs), d) * rng.uniform(0.1, 10)
-        got = convex_init(obs, basis.b0, mu)
+        mu = array_mu(wp_solver._cleaned_w(obs), d) * rng.uniform(0.1, 10)
+        got = convex_init(wp_moments(obs, basis.b0), mu)
         ref = numpy_convex_init(obs, basis.b0, mu)
-        for (s, rbar, tbar), (s_ref, rbar_ref, tbar_ref) in zip(got, ref):
+        assert len(got) == len(ref) == 2
+        # zip in order: the candidates must also be ranked alike
+        for (s, rbar), (s_ref, rbar_ref) in zip(got, ref):
             assert s == pytest.approx(s_ref, rel=1e-9)
             assert np.max(np.abs(rbar - rbar_ref)) <= 1e-9
-            scale = max(1.0, np.abs(tbar_ref).max())
-            assert np.max(np.abs(tbar - tbar_ref)) <= 1e-9 * scale
 
     def test_relaxation_makes_one_svd(self, basis, monkeypatch):
         calls = []
@@ -811,8 +867,9 @@ class TestFloatRelaxation:
         monkeypatch.setattr(np.linalg, "svd", counting)
         for seed in range(5):
             obs, _ = make_wp_obs(basis, 740 + seed)
+            moments = wp_moments(obs, basis.b0)
             calls.clear()
-            convex_init(obs, basis.b0, mu=1e-3)
+            convex_init(moments, mu=1e-3)
             assert len(calls) == 1
 
 
