@@ -5,14 +5,12 @@ from the basis with Gaussian coefficients, a random pose, full-perspective
 projection, and a configurable pixel-noise/outlier corruption whose
 confidences emulate heatmap peaks (corrupted keypoints get low confidence).
 
-Reports deliberately exclude wall-clock numbers so that fixed-seed runs are
-byte-identical; timings live on the in-memory report only.
+Reports hold no wall-clock numbers, so fixed-seed runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +24,8 @@ from .shape_basis import compose_shape
 from .wp_solver import SolverOptions, solve_wp
 
 METHOD_ORDER = ("wp", "fp", "pnp", "wp-uniform", "fp-uniform")
+CLEAN_CONFIDENCE = (0.8, 1.0)
+OUTLIER_CONFIDENCE = (0.05, 0.2)
 
 
 @dataclass
@@ -36,16 +36,14 @@ class NoiseModel:
     otherwise each keypoint is corrupted independently with
     ``outlier_prob``. Corrupted keypoints are displaced by
     ``outlier_magnitude`` pixels in a random direction and draw a low
-    confidence; clean keypoints draw a high one (exactly 1 when the scene is
-    entirely noise-free).
+    confidence (``OUTLIER_CONFIDENCE``); clean keypoints draw a high one
+    (``CLEAN_CONFIDENCE``, exactly 1 when the scene is entirely noise-free).
     """
 
     pixel_sigma: float = 0.0
     outlier_prob: float = 0.0
     outlier_magnitude: float = 0.0
     outlier_count: int = None
-    clean_confidence: tuple = (0.8, 1.0)
-    outlier_confidence: tuple = (0.05, 0.2)
 
     def __post_init__(self):
         if not 0.0 <= self.outlier_prob <= 1.0:
@@ -61,9 +59,6 @@ class SceneConfig:
     basis: object
     intrinsics: object
     depth_range: tuple = (5.0, 15.0)  # multiples of the mean-shape diameter
-    azimuth_range: tuple = None  # radians; None with the others => uniform SO(3)
-    elevation_range: tuple = None
-    cyclo_range: tuple = None
     noise: NoiseModel = field(default_factory=NoiseModel)
     trials: int = 100
     seed: int = 0
@@ -79,41 +74,21 @@ class SceneConfig:
 class SceneSample:
     rotation: np.ndarray
     translation: np.ndarray
-    coefficients: np.ndarray
     shape: np.ndarray
     observations: KeypointObservations
     intrinsics: object
 
 
-def _rot_axis(angle, axis):
-    c, s = np.cos(angle), np.sin(angle)
-    if axis == "x":
-        return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-    if axis == "y":
-        return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
-
-
 def _uniform_rotation(rng):
     """Uniform SO(3) sample via the subgroup algorithm (rotation + reflection)."""
     x1, x2, x3 = rng.random(3)
-    rz = _rot_axis(2.0 * np.pi * x1, "z")
+    c, s = np.cos(2.0 * np.pi * x1), np.sin(2.0 * np.pi * x1)
+    rz = np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
     phi = 2.0 * np.pi * x2
     v = np.array(
         [np.cos(phi) * np.sqrt(x3), np.sin(phi) * np.sqrt(x3), np.sqrt(1.0 - x3)]
     )
     return -(np.eye(3) - 2.0 * np.outer(v, v)) @ rz
-
-
-def _sample_rotation(cfg, rng):
-    if cfg.azimuth_range is None and cfg.elevation_range is None and (
-        cfg.cyclo_range is None
-    ):
-        return _uniform_rotation(rng)
-    az = rng.uniform(*(cfg.azimuth_range or (0.0, 0.0)))
-    el = rng.uniform(*(cfg.elevation_range or (0.0, 0.0)))
-    cy = rng.uniform(*(cfg.cyclo_range or (0.0, 0.0)))
-    return _rot_axis(cy, "z") @ _rot_axis(el, "x") @ _rot_axis(az, "y")
 
 
 def sample_scene(cfg, trial_index):
@@ -127,7 +102,7 @@ def sample_scene(cfg, trial_index):
     shape = compose_shape(basis, coeffs)
 
     for attempt in range(100):
-        rotation = _sample_rotation(cfg, rng)
+        rotation = _uniform_rotation(rng)
         depth = rng.uniform(*cfg.depth_range) * diameter
         # lateral offset scales with the object, not the depth, so distant
         # scenes stay near the optical axis (weak perspective regime)
@@ -165,15 +140,14 @@ def sample_scene(cfg, trial_index):
 
     d = np.ones(p)
     if noise.pixel_sigma > 0.0:
-        d = rng.uniform(*noise.clean_confidence, p)
+        d = rng.uniform(*CLEAN_CONFIDENCE, p)
     if np.any(corrupted):
-        d[corrupted] = rng.uniform(*noise.outlier_confidence, int(corrupted.sum()))
+        d[corrupted] = rng.uniform(*OUTLIER_CONFIDENCE, int(corrupted.sum()))
 
     obs = KeypointObservations(w, d, basis.keypoint_names)
     return SceneSample(
         rotation=rotation,
         translation=translation,
-        coefficients=coeffs,
         shape=shape,
         observations=obs,
         intrinsics=cfg.intrinsics,
@@ -195,7 +169,6 @@ class ErrorReport:
     methods: tuple
     stats: dict
     records: list
-    fit_seconds: dict  # per-method wall-clock samples; never serialized
 
 
 def _run_method(method, scene, basis, opts):
@@ -231,13 +204,11 @@ def run_benchmark(cfg, methods=("wp", "fp", "pnp"), opts=None):
     opts = opts or SolverOptions()
 
     records = []
-    fit_seconds = {m: [] for m in methods}
     errors = {m: [] for m in methods}
     for trial in range(cfg.trials):
         scene = sample_scene(cfg, trial)
         for method in methods:
             rec = {"trial": trial, "method": method}
-            start = time.perf_counter()
             try:
                 rot_err, trans_err, cost = _run_method(method, scene, cfg.basis, opts)
             except (KpfitError, np.linalg.LinAlgError) as exc:
@@ -248,7 +219,6 @@ def run_benchmark(cfg, methods=("wp", "fp", "pnp"), opts=None):
                 if cost is not None:
                     rec["final_cost"] = float(cost)
                 errors[method].append((rot_err, trans_err))
-            fit_seconds[method].append(time.perf_counter() - start)
             records.append(rec)
 
     stats = {}
@@ -264,9 +234,7 @@ def run_benchmark(cfg, methods=("wp", "fp", "pnp"), opts=None):
             failures=cfg.trials - len(ok),
             successes=len(ok),
         )
-    return ErrorReport(
-        methods=methods, stats=stats, records=records, fit_seconds=fit_seconds
-    )
+    return ErrorReport(methods=methods, stats=stats, records=records)
 
 
 def format_table(report):

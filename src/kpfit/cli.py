@@ -40,16 +40,15 @@ def _vec(v):
 def _solver_options(args):
     return SolverOptions(
         lam=args.lam,
-        mu=getattr(args, "mu", None),
+        mu=args.mu,
         max_iterations=args.max_iters,
         relative_tolerance=args.tol,
     )
 
 
-def _add_solver_flags(parser, mu=True):
+def _add_solver_flags(parser):
     parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    if mu:
-        parser.add_argument("--mu", type=float, default=None)
+    parser.add_argument("--mu", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=500)
     parser.add_argument("--tol", type=float, default=1e-9)
 

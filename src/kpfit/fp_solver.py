@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BehindCameraError, DegenerateGeometryError, InsufficientConstraintsError
-)
+from .errors import BehindCameraError, DegenerateGeometryError
 from .geometry import (
-    hat, normalize_keypoints, project_to_so3, so3_newton_rows, weighted_procrustes
+    hat, near_coplanar, normalize_keypoints, project_to_so3, so3_newton_rows,
+    weighted_procrustes,
 )
 from .observations import KeypointObservations
 from .shape_basis import compose_shape
-from .wp_solver import SolverOptions, default_lambda, solve_wp, _cleaned_w
+from .wp_solver import SolverOptions, _checked_inputs, _cleaned_w, solve_wp
 
 DEPTH_FLOOR_FACTOR = 1e-6
 
@@ -211,14 +210,6 @@ def wp_to_fp_init(wp, intrinsics=None):
     return rotation, translation
 
 
-def _coplanarity_diagnostic(b0):
-    centered = b0 - b0.mean(axis=1, keepdims=True)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[2] <= 1e-6 * max(sv[0], 1e-300):
-        return "mean shape keypoints are (near-)coplanar; pose is ill-posed"
-    return ""
-
-
 def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     """Fit the full-perspective model to confidence-weighted pixel keypoints.
 
@@ -229,15 +220,10 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
     ill-posed problem is reported in ``diagnostic``.
     """
     opts = opts or SolverOptions()
-    d = np.asarray(obs.d, dtype=float)
-    if obs.num_keypoints != basis.num_keypoints:
-        raise ValueError("observation and basis keypoint counts differ")
-    if np.count_nonzero(d > 0.0) < 4:
-        raise InsufficientConstraintsError(
-            "need at least 4 keypoints with positive confidence"
-        )
-    lam = opts.lam if opts.lam is not None else default_lambda(basis)
-    diagnostic = _coplanarity_diagnostic(basis.b0)
+    d, lam = _checked_inputs(obs, basis, opts)
+    diagnostic = ""
+    if near_coplanar(basis.b0):
+        diagnostic = "mean shape keypoints are (near-)coplanar; pose is ill-posed"
 
     w = _cleaned_w(obs)
     wt = normalize_keypoints(w, intrinsics)

@@ -205,6 +205,14 @@ def rotation_from_cross_covariance(cross_cov):
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
+def near_coplanar(points):
+    """Whether 3xp points are (near-)coplanar: the smallest singular value of
+    the centred points is at most 1e-6 of the largest."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    sv = np.linalg.svd(centered, compute_uv=False)
+    return bool(sv[2] <= 1e-6 * max(sv[0], 1e-300))
+
+
 def project_weak(s, rbar, tbar, shape):
     """Weak-perspective projection s * Rbar * S + Tbar 1^T of a 3xp shape."""
     if s <= 0.0:

@@ -16,7 +16,7 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientConstraintsError,
 )
-from .geometry import normalize_keypoints, project_to_so3, so3_exp
+from .geometry import near_coplanar, normalize_keypoints, project_to_so3, so3_exp
 
 
 @dataclass
@@ -95,9 +95,7 @@ def solve_pnp(points3d, points2d, intrinsics, max_iterations=100):
     p = points3d.shape[1]
     if p < 6:
         raise InsufficientConstraintsError("PnP baseline needs at least 6 points")
-    centered = points3d - points3d.mean(axis=1, keepdims=True)
-    sv = np.linalg.svd(centered, compute_uv=False)
-    if sv[2] <= 1e-6 * max(sv[0], 1e-300):
+    if near_coplanar(points3d):
         raise DegenerateGeometryError(
             "coplanar 3D points: the DLT baseline does not handle planar scenes"
         )

@@ -101,6 +101,19 @@ def default_lambda(basis):
     return 1e-2 / mean_eig
 
 
+def _checked_inputs(obs, basis, opts):
+    """The confidences and the Tikhonov weight of a fit, after the checks both
+    solvers share: matching keypoint counts and >= 4 confident keypoints."""
+    d = np.asarray(obs.d, dtype=float)
+    if obs.num_keypoints != basis.num_keypoints:
+        raise ValueError("observation and basis keypoint counts differ")
+    if np.count_nonzero(d > 0.0) < 4:
+        raise InsufficientConstraintsError(
+            "need at least 4 keypoints with positive confidence"
+        )
+    return d, opts.lam if opts.lam is not None else default_lambda(basis)
+
+
 def _cleaned_w(obs):
     """Copy of W with zero-confidence columns (possible sentinels) zeroed."""
     w = np.array(obs.w, dtype=float)
@@ -426,13 +439,7 @@ def solve_wp(obs, basis, opts=None):
     relaxation (its leading 5x5 block) and both descents read it.
     """
     opts = opts or SolverOptions()
-    d = np.asarray(obs.d, dtype=float)
-    if obs.num_keypoints != basis.num_keypoints:
-        raise ValueError("observation and basis keypoint counts differ")
-    if np.count_nonzero(d > 0.0) < 4:
-        raise InsufficientConstraintsError(
-            "need at least 4 keypoints with positive confidence"
-        )
+    d, lam = _checked_inputs(obs, basis, opts)
     w = _cleaned_w(obs)
     k = basis.num_modes
     rows = np.concatenate([w, basis.b0, *basis.modes])
@@ -444,7 +451,6 @@ def solve_wp(obs, basis, opts=None):
 
     gram = rows @ (rows * d).T
     sww = float(gram[0, 0] + gram[1, 1])
-    lam = opts.lam if opts.lam is not None else default_lambda(basis)
     mu = opts.mu if opts.mu is not None else 0.01 * math.sqrt(sww)
 
     qwm = gram[:2, 2:].reshape(2, k + 1, 3).transpose(1, 0, 2).reshape(k + 1, 6)

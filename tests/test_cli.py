@@ -13,6 +13,8 @@ from kpfit import (
     write_keypoints,
     write_model,
     KeypointObservations,
+    SolverOptions,
+    solve_wp,
 )
 from kpfit.cli import main
 
@@ -92,6 +94,32 @@ class TestFitCommands:
         assert lines[1] == "rbar"
         rbar = np.array([[float(v) for v in lines[i].split()] for i in (2, 3)])
         assert np.max(np.abs(rbar @ rbar.T - np.eye(2))) < 1e-9
+
+    def test_fit_wp_mu_reaches_the_solver(self, capsys):
+        basis = load_basis(DATA / "basis.txt")
+        obs = read_keypoints(DATA / "keypoints.txt")
+        want = solve_wp(obs, basis, SolverOptions(mu=5.0))
+        # on this fixture mu = 5 moves the relaxed start, and so the fit's last bits
+        assert want.s != solve_wp(obs, basis).s
+        code, out, err = run_cli(
+            capsys,
+            "fit-wp",
+            "--basis",
+            str(DATA / "basis.txt"),
+            "--keypoints",
+            str(DATA / "keypoints.txt"),
+            "--mu",
+            "5",
+        )
+        assert code == 0 and err == ""
+        lines = [line.split() for line in out.splitlines()]
+        assert float(lines[0][1]) == want.s
+        rbar = np.array([[float(v) for v in lines[i]] for i in (2, 3)])
+        assert np.array_equal(rbar, want.rbar)
+        assert [float(v) for v in lines[4][1:]] == list(want.tbar)
+        assert [float(v) for v in lines[5][1:]] == list(want.c)
+        assert float(lines[6][1]) == want.final_cost
+        assert lines[7] == ["iterations", str(want.iterations), "converged", "true"]
 
     def test_pnp_command(self, capsys):
         code, out, err = run_cli(

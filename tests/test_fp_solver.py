@@ -414,6 +414,21 @@ class TestSolveFp:
         with pytest.raises(InsufficientConstraintsError):
             solve_fp(KeypointObservations(pixels, d), intrinsics, basis)
 
+    def test_input_checks_match_solve_wp(self, basis, intrinsics):
+        c, shape, rotation, translation, pixels = make_fp_scene(basis, intrinsics, 16)
+        few = np.zeros(12)
+        few[:3] = 1.0
+        cases = [
+            (KeypointObservations(pixels[:, :11], np.ones(11)), ValueError),
+            (KeypointObservations(pixels, few), InsufficientConstraintsError),
+        ]
+        for obs, error in cases:
+            with pytest.raises(error) as wp_error:
+                solve_wp(obs, basis)
+            with pytest.raises(error) as fp_error:
+                solve_fp(obs, intrinsics, basis)
+            assert str(fp_error.value) == str(wp_error.value)
+
     def test_behind_camera_raises(self, basis, intrinsics):
         # a confident keypoint whose ray points away from its model point
         # (v . q < 0) pulls the fit onto the camera centre, where depths pin

@@ -13,6 +13,7 @@ from kpfit import (
     so3_log,
     weighted_procrustes,
 )
+from kpfit.geometry import near_coplanar
 from conftest import random_rotation
 
 
@@ -160,6 +161,19 @@ class TestWeightedProcrustes:
         w[:2] = 1.0
         with pytest.raises(DegenerateGeometryError):
             weighted_procrustes(pts, pts, w)
+
+
+class TestNearCoplanar:
+    @pytest.mark.parametrize("ratio, flat", [(2e-6, False), (5e-7, True), (0.0, True)])
+    def test_threshold_is_relative_to_the_spread(self, ratio, flat):
+        # centred points with singular values (3, 1, 3 * ratio), then shifted
+        rng = np.random.default_rng(18)
+        a = rng.normal(size=(3, 10))
+        u, _, vt = np.linalg.svd(a - a.mean(axis=1, keepdims=True), full_matrices=False)
+        points = u @ np.diag([3.0, 1.0, 3.0 * ratio]) @ vt
+        points += np.array([[5.0], [-2.0], [40.0]])
+        assert near_coplanar(points) is flat
+        assert near_coplanar(1e-200 * points) is flat
 
 
 class TestProjections:
