@@ -69,30 +69,42 @@ def so3_exp(omega):
     )
 
 
+def spd_solve3(a, *rhs):
+    """Solutions x of A x = b for each b in ``rhs``, for the symmetric 3x3 A
+    given by its lower triangle (a00, a10, a11, a20, a21, a22), by its
+    Cholesky factor in float arithmetic; None when a pivot is not positive."""
+    a00, a10, a11, a20, a21, a22 = a
+    if not a00 > 0.0:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a10 / l00, a20 / l00
+    pivot = a11 - l10 * l10
+    if not pivot > 0.0:
+        return None
+    l11 = math.sqrt(pivot)
+    l21 = (a21 - l20 * l10) / l11
+    pivot = a22 - l20 * l20 - l21 * l21
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    out = []
+    for b0, b1, b2 in rhs:
+        f0 = b0 / l00
+        f1 = (b1 - l10 * f0) / l11
+        x2 = (b2 - l20 * f0 - l21 * f1) / l22 / l22
+        x1 = (f1 - l21 * x2) / l11
+        out.append(((f0 - l10 * x1 - l20 * x2) / l00, x1, x2))
+    return out
+
+
 def so3_newton_rows(rows, grad, hess):
     """Rows of R exp(hat(w)) at R = ``rows`` (nested lists) for the Newton step
     w = -H^-1 g, in float arithmetic; None when a Cholesky pivot of H, given by
     its lower triangle (h00, h10, h11, h20, h21, h22), is not positive."""
-    (g0, g1, g2), (h00, h10, h11, h20, h21, h22) = grad, hess
-    # Cholesky factor L of H, then w = -L^-T L^-1 g
-    if not h00 > 0.0:
+    solved = spd_solve3(hess, grad)
+    if solved is None:
         return None
-    l00 = math.sqrt(h00)
-    l10, l20 = h10 / l00, h20 / l00
-    pivot = h11 - l10 * l10
-    if not pivot > 0.0:
-        return None
-    l11 = math.sqrt(pivot)
-    l21 = (h21 - l20 * l10) / l11
-    pivot = h22 - l20 * l20 - l21 * l21
-    if not pivot > 0.0:
-        return None
-    l22 = math.sqrt(pivot)
-    f0 = g0 / l00
-    f1 = (g1 - l10 * f0) / l11
-    w2 = -(g2 - l20 * f0 - l21 * f1) / l22 / l22
-    w1 = -(f1 + l21 * w2) / l11
-    w0 = -(f0 + l10 * w1 + l20 * w2) / l00
+    w0, w1, w2 = (-x for x in solved[0])
     # Rodrigues: r exp(hat(w)) = r + a r x w + b ((r.w) w - theta^2 r)
     theta2 = w0 * w0 + w1 * w1 + w2 * w2
     theta = math.sqrt(theta2)

@@ -4,7 +4,10 @@ The weighted, Tikhonov-regularized cost is minimized by block coordinate
 descent over scale, shape coefficients and rotation rows, initialized from a
 convex relaxation that fixes the shape to the mean and replaces the
 row-orthonormality constraint with a spectral-norm regularizer (Zhou,
-Leonardos, Hu & Daniilidis, CVPR 2015). In both stages the offset is
+Leonardos, Hu & Daniilidis, CVPR 2015). The relaxation takes Newton steps
+where the spectral norm is smooth, with the closed-form Hessian of Lewis &
+Sendov (SIAM J. Matrix Anal. Appl. 2001), and proximal gradient steps at a
+tied optimum, where the two singular values meet. In both stages the offset is
 eliminated exactly at the weighted means, so both see the keypoints only
 through one Gram of the centred rows [W; B0; B_1 .. B_k], formed once per fit:
 the relaxation reads its leading 5x5 block, the moments of [W; B0], and the
@@ -31,11 +34,17 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
 from .geometry import (
-    check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance, so3_newton_rows
+    check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance, so3_newton_rows,
+    spd_solve3,
 )
 from .shape_basis import compose_shape
 
 logger = logging.getLogger(__name__)
+
+# Newton steps of the relaxation before proximal steps take over, and the
+# step lengths 1, 1/2, .. one Newton step tries
+_NEWTON_STEPS = 8
+_BACKTRACKS = 20
 
 
 @dataclass
@@ -168,6 +177,17 @@ def wp_cost_gradient(obs, basis, s, c, rbar, tbar, lam):
     return g_s, g_c, g_tbar, g_omega
 
 
+def _gram_2x3(y):
+    """K = y y^T of a 2x3 matrix ``y`` (nested lists) as (kaa, kab, kbb), with
+    s1^2 - s2^2 = hypot(kaa - kbb, 2 kab) and the largest singular value s1."""
+    (a0, a1, a2), (b0, b1, b2) = y
+    kaa = a0 * a0 + a1 * a1 + a2 * a2
+    kab = a0 * b0 + a1 * b1 + a2 * b2
+    kbb = b0 * b0 + b1 * b1 + b2 * b2
+    gap = math.hypot(kaa - kbb, 2.0 * kab)
+    return kaa, kab, kbb, gap, math.sqrt(0.5 * (kaa + kbb + gap))
+
+
 def _prox_spectral(y, t):
     """Proximal operator of t * (spectral norm) at a 2x3 matrix ``y`` (nested
     lists); returns the result and its largest singular value.
@@ -178,10 +198,7 @@ def _prox_spectral(y, t):
     branch scales K^(-1/2) y = ((s1^2 + s1 s2 + s2^2) I - K) y / (s1 s2 (s1 + s2)).
     """
     (a0, a1, a2), (b0, b1, b2) = y
-    kaa = a0 * a0 + a1 * a1 + a2 * a2
-    kab = a0 * b0 + a1 * b1 + a2 * b2
-    kbb = b0 * b0 + b1 * b1 + b2 * b2
-    s1 = math.sqrt(0.5 * (kaa + kbb + math.hypot(kaa - kbb, 2.0 * kab)))
+    kaa, kab, kbb, _, s1 = _gram_2x3(y)
     cross = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     s2 = cross / s1 if s1 > 0.0 else 0.0
     if s1 - s2 >= t:  # not s1 - t >= s2, which holds for s1 = s2 and t < ulp(s1)
@@ -199,53 +216,228 @@ def _prox_spectral(y, t):
     ], top
 
 
+def _norm_change(m, d, t):
+    """||M + t D||_2 - ||M||_2 for 2x3 M and D (nested lists), written without
+    cancellation through the exact change of K = M M^T, so that a step near
+    rounding is still compared correctly."""
+    (a0, a1, a2), (b0, b1, b2) = m
+    (c0, c1, c2), (e0, e1, e2) = d
+    kaa, kab, kbb, gap, s1 = _gram_2x3(m)
+    daa = t * (2.0 * (a0 * c0 + a1 * c1 + a2 * c2) + t * (c0 * c0 + c1 * c1 + c2 * c2))
+    dbb = t * (2.0 * (b0 * e0 + b1 * e1 + b2 * e2) + t * (e0 * e0 + e1 * e1 + e2 * e2))
+    dab = t * (a0 * e0 + a1 * e1 + a2 * e2 + b0 * c0 + b1 * c1 + b2 * c2
+               + t * (c0 * e0 + c1 * e1 + c2 * e2))
+    x, dx = kaa - kbb, daa - dbb
+    total = gap + math.hypot(x + dx, 2.0 * (kab + dab))
+    dgap = (dx * (2.0 * x + dx) + 4.0 * dab * (2.0 * kab + dab)) / total if total > 0.0 else 0.0
+    ds = 0.5 * (daa + dbb + dgap)  # the change of s1^2 = (kaa + kbb + gap) / 2
+    total = s1 + math.sqrt(max(s1 * s1 + ds, 0.0))
+    return ds / total if total > 0.0 else 0.0
+
+
+def _norm_frame(m):
+    """Singular values and vectors of a 2x3 M (nested lists) where ||M||_2 is
+    twice differentiable: (s1, s2, s1^2 - s2^2, (u1, u2), (v1, v2, v3)) with
+    M = s1 u1 v1^T + s2 u2 v2^T, s2 >= 0 and v3 along m1 x m2. None when
+    m1 x m2 = 0 or s1 - s2 <= 1e-8 s1, too close to the kink at s1 = s2. As
+    in _prox_spectral, u1 is the top eigenvector of K = M M^T and s1 s2 =
+    |m1 x m2|. With u2 = (-u1[1], u1[0]), m1 x m2 = s1 s2 (v1 x v2) fixes the
+    sign of v2 = v3 x v1."""
+    (a0, a1, a2), (b0, b1, b2) = m
+    kaa, kab, kbb, gap, s1 = _gram_2x3(m)
+    x0, x1, x2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    cross = math.hypot(x0, x1, x2)
+    if not cross > 0.0 or s1 - cross / s1 <= 1e-8 * s1:
+        return None
+    p, q = (kaa - kbb + gap, 2.0 * kab) if kaa >= kbb else (2.0 * kab, kbb - kaa + gap)
+    r = math.hypot(p, q)
+    p, q = p / r, q / r
+    y0, y1, y2 = (p * a0 + q * b0) / s1, (p * a1 + q * b1) / s1, (p * a2 + q * b2) / s1
+    # m1 x m2 is normal to v1 but for its rounding, which is most of it when
+    # s2 << s1; there the Hessian needs only that v1, v2, v3 are orthonormal
+    dot = x0 * y0 + x1 * y1 + x2 * y2
+    x0, x1, x2 = x0 - dot * y0, x1 - dot * y1, x2 - dot * y2
+    r = math.hypot(x0, x1, x2)
+    x0, x1, x2 = x0 / r, x1 / r, x2 / r
+    z0, z1, z2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+    return s1, cross / s1, gap, ((p, q), (-q, p)), ((y0, y1, y2), (z0, z1, z2), (x0, x1, x2))
+
+
+def _newton_direction(frame, grad, lam, mu):
+    """The Newton step -H^-1 g (2x3 nested lists) of the relaxed objective at
+    the M of ``frame`` (see _norm_frame), for its gradient g, the 2x3
+    ``grad``, and G = diag(``lam``); None when H has no Cholesky factor.
+
+    H is I (x) G plus mu times the Hessian of ||M||_2, which by Lewis & Sendov
+    (SIAM J. Matrix Anal. Appl. 2001) is [s1 (ea ea^T + eb eb^T) + s2 (ea eb^T
+    + eb ea^T)] / (s1^2 - s2^2) + ec ec^T / s1 for ea = u1 v2^T, eb = u2 v1^T
+    and ec = u1 v3^T. In the frame of a step X, Z = U^T X V, these are the
+    entries z01, z10 and z02, and I (x) G is F = V^T G V on each row of Z.
+    So with gap = s1^2 - s2^2, H is A = F + mu diag(0, s1 / gap, 1 / s1) on
+    row 0, D = F + mu diag(s1 / gap, 0, 0) on row 1 and the coupling
+    c = mu s2 / gap of z01 and z10; its Cholesky factor is that of A and
+    that of the Schur complement D - c^2 (A^-1)_11 e0 e0^T.
+    """
+    s1, s2, gap, ((p, q), (r, t)), ((a0, a1, a2), (b0, b1, b2), (c0, c1, c2)) = frame
+    (x0, x1, x2), (y0, y1, y2) = grad
+    l0, l1, l2 = lam
+    # U^T g, whose rows times V are the rows of g in the frame
+    e0, e1, e2 = p * x0 + q * y0, p * x1 + q * y1, p * x2 + q * y2
+    f0, f1, f2 = r * x0 + t * y0, r * x1 + t * y1, r * x2 + t * y2
+    # F = V^T G V
+    ga0, ga1, ga2 = l0 * a0, l1 * a1, l2 * a2
+    gb0, gb1, gb2 = l0 * b0, l1 * b1, l2 * b2
+    h00 = ga0 * a0 + ga1 * a1 + ga2 * a2
+    h10 = ga0 * b0 + ga1 * b1 + ga2 * b2
+    h20 = ga0 * c0 + ga1 * c1 + ga2 * c2
+    h11 = gb0 * b0 + gb1 * b1 + gb2 * b2
+    h21 = gb0 * c0 + gb1 * c1 + gb2 * c2
+    h22 = l0 * c0 * c0 + l1 * c1 * c1 + l2 * c2 * c2
+    w, c = mu * s1 / gap, mu * s2 / gap
+    solved = spd_solve3(
+        (h00, h10, h11 + w, h20, h21, h22 + mu / s1),
+        (-(e0 * a0 + e1 * a1 + e2 * a2), -(e0 * b0 + e1 * b1 + e2 * b2),
+         -(e0 * c0 + e1 * c1 + e2 * c2)),
+        (0.0, 1.0, 0.0),
+    )
+    if solved is None:
+        return None
+    (j0, j1, j2), (i0, i1, i2) = solved  # A^-1 (-row 0) and A^-1 e1
+    solved = spd_solve3(
+        (h00 + w - c * c * i1, h10, h11, h20, h21, h22),
+        (-(f0 * a0 + f1 * a1 + f2 * a2) - c * j1, -(f0 * b0 + f1 * b1 + f2 * b2),
+         -(f0 * c0 + f1 * c1 + f2 * c2)),
+    )
+    if solved is None:
+        return None
+    (k0, k1, k2), = solved  # row 1 of Z
+    j0, j1, j2 = j0 - c * k0 * i0, j1 - c * k0 * i1, j2 - c * k0 * i2  # row 0
+    # back to the entries of M: U Z V^T = u1 (V z0)^T + u2 (V z1)^T
+    e0, f0 = j0 * a0 + j1 * b0 + j2 * c0, k0 * a0 + k1 * b0 + k2 * c0
+    e1, f1 = j0 * a1 + j1 * b1 + j2 * c1, k0 * a1 + k1 * b1 + k2 * c1
+    e2, f2 = j0 * a2 + j1 * b2 + j2 * c2, k0 * a2 + k1 * b2 + k2 * c2
+    return [[p * e0 + r * f0, p * e1 + r * f1, p * e2 + r * f2],
+            [q * e0 + t * f0, q * e1 + t * f1, q * e2 + t * f2]]
+
+
+def _newton_relaxed(m, cov, lam, mu, bound):
+    """One safeguarded Newton step on the relaxed objective from M = ``m``
+    for G = diag(``lam``): the new M after an Armijo backtracking search;
+    ``m`` itself when |gradient|_F <= ``bound`` |M|_F; None when ||M||_2 is
+    not smooth there (see _norm_frame), H has no Cholesky factor or no step
+    length passes the search. The gradient is M G - C + mu u1 v1^T, and a
+    step's change of the objective is <D, M G - C> + <D, D G> / 2 +
+    mu (||M + D||_2 - ||M||_2)."""
+    frame = _norm_frame(m)
+    if frame is None:
+        return None
+    (p, q), v1 = frame[3][0], frame[4][0]
+    resid = [[x * l - c for x, l, c in zip(row, lam, cr)] for row, cr in zip(m, cov)]
+    grad = [[x + mu * u * v for x, v in zip(row, v1)] for row, u in zip(resid, (p, q))]
+    if math.hypot(*grad[0], *grad[1]) <= bound * math.hypot(*m[0], *m[1]):
+        return m
+    d = _newton_direction(frame, grad, lam, mu)
+    if d is None:
+        return None
+    lin = sum(x * y for rows in zip(d, resid) for x, y in zip(*rows))
+    w0, w1, w2 = v1
+    (d0, d1, d2), (e0, e1, e2) = d
+    slope = lin + mu * (p * (d0 * w0 + d1 * w1 + d2 * w2) + q * (e0 * w0 + e1 * w1 + e2 * w2))
+    quad = sum(l * (x * x + y * y) for l, x, y in zip(lam, *d))
+    t = 1.0
+    for _ in range(_BACKTRACKS):
+        if t * (lin + 0.5 * t * quad) + mu * _norm_change(m, d, t) <= 1e-4 * t * slope:
+            return [[x + t * y for x, y in zip(*rows)] for rows in zip(m, d)]
+        t *= 0.5
+    return None
+
+
+def _relaxed_m(moments, mu, max_iterations=5000, tol=1e-10):
+    """The minimizer M (a 2x3 array) of the relaxation in convex_init, found
+    in the eigenvectors Q of G = Q diag(lam) Q^T: M Q has the same spectral
+    norm, and there G is diag(lam) and C is C Q."""
+    moments = np.asarray(moments, dtype=float)
+    if moments.shape != (5, 5):
+        raise ValueError("moments must be the 5x5 moments of the centred [W; B0]")
+    lam, vecs = np.linalg.eigh(moments[2:, 2:])
+    if lam[-1] <= 0.0 or lam[1] <= 1e-12 * lam[-1]:
+        raise DegenerateGeometryError("mean shape is (near-)collinear")
+    cq = moments[:2, 2:] @ vecs
+    cov, lams = cq.tolist(), lam.tolist()
+    if lam[0] > 1e-12 * lam[-1]:  # start at the mu = 0 minimizer C G^-1
+        m = (cq / lam).tolist()
+        # |M - M*|_F <= |g|_F / lambda_min(G) for a (sub)gradient g, held to
+        # tol, but not below g's rounding, about 1e-14 lambda_max(G) |M|_F
+        bound = max(tol * lams[0], 1e-14 * lams[-1])
+    else:  # a coplanar mean shape: G is singular, and M = 0 is tied
+        m = [[0.0] * 3] * 2
+        bound = 0.0
+    for _ in range(_NEWTON_STEPS):
+        new = _newton_relaxed(m, cov, lams, mu, bound)
+        if new is m:
+            return np.array(m) @ vecs.T
+        if new is None:
+            break
+        m = new
+
+    # proximal gradient from M: the tied optimum (s1 = s2) and failed steps
+    step = 1.0 / lams[-1]
+    norm = _gram_2x3(m)[4]  # ||M||_2
+    mg = [[x * l for x, l in zip(row, lams)] for row in m]
+    current = 0.5 * float(moments[0, 0] + moments[1, 1]) + mu * norm + sum(
+        x * (0.5 * g - c) for r in zip(m, mg, cov) for x, g, c in zip(*r)
+    )
+    for _ in range(max_iterations):
+        y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
+        new, new_norm = _prox_spectral(y, step * mu)
+        new_g = [[x * l for x, l in zip(row, lams)] for row in new]
+        change = mu * (new_norm - norm) + sum(
+            (x1 - x0) * (0.5 * (g1 + g0) - c)
+            for r in zip(new, m, new_g, mg, cov)
+            for x1, x0, g1, g0, c in zip(*r)
+        )
+        # (M - M') (L I - G) is a subgradient at M' for L = lambda_max(G)
+        sub = math.hypot(*[(x0 - x1) * (lams[-1] - l)
+                           for r in zip(m, new) for x0, x1, l in zip(*r, lams)])
+        m, mg, norm = new, new_g, new_norm
+        prev, current = current, current + change
+        if bound:
+            if sub <= bound * math.hypot(*m[0], *m[1]):
+                break
+        elif -change < tol * max(prev, 1e-300):
+            break
+    return np.array(m) @ vecs.T
+
+
 def convex_init(moments, mu, max_iterations=5000, tol=1e-10):
     """Globally solve the relaxed problem (c = 0, spectral-norm regularizer).
 
     ``moments`` is the 5x5 matrix sum_i d_i x_i x_i^T of the rows x = [W; B0]
     centred at their weighted means, the leading block of solve_wp's Gram.
     Minimizes 0.5 ||(Wc - M Bc) D^(1/2)||_F^2 + mu ||M||_2 over the
-    unconstrained 2x3 matrix M by proximal gradient (the offset is exact at
-    the weighted means), then factors M into scale and orthonormal rows.
-    Returns both reflection-consistent candidates as a list of (s, rbar)
-    pairs ranked by the unrelaxed cost at c = 0.
+    unconstrained 2x3 matrix M (the offset is exact at the weighted means),
+    then factors M into scale and orthonormal rows. Returns both
+    reflection-consistent candidates as a list of (s, rbar) pairs ranked by
+    the unrelaxed cost at c = 0.
 
-    With G = Bc D Bc^T and C = Wc D Bc^T read from ``moments``, the gradient
-    is M G - C; steps run on floats and are compared by their exact change
-    <M' - M, (M' + M) G / 2 - C> + mu (||M'||_2 - ||M||_2).
+    With G = Bc D Bc^T and C = Wc D Bc^T read from ``moments``, the smooth
+    part has gradient M G - C. From the mu = 0 minimizer C G^-1, safeguarded
+    Newton steps run in float arithmetic where ||M||_2 is twice
+    differentiable (s1 > s2), each kept by an Armijo search on the exact
+    change of the objective. The iterate is returned once strong convexity
+    bounds its distance to the minimizer, |M - M*|_F <= |g|_F / lambda_min(G)
+    for a (sub)gradient g, by ``tol`` |M|_F, or by g's rounding level where
+    G is ill-conditioned. At a tied optimum (s1 = s2), or when a Newton step
+    fails, at most ``max_iterations`` proximal gradient steps finish from the
+    current point under the same bound. A singular G (a coplanar mean shape)
+    has no such bound: there the proximal steps start at 0 and stop when the
+    objective falls by less than ``tol`` relative.
     """
     moments = np.asarray(moments, dtype=float)
-    if moments.shape != (5, 5):
-        raise ValueError("moments must be the 5x5 moments of the centred [W; B0]")
-    eigs = np.linalg.eigvalsh(moments[2:, 2:])
-    if eigs[-1] <= 0.0 or eigs[1] <= 1e-12 * eigs[-1]:
-        raise DegenerateGeometryError("mean shape is (near-)collinear")
-    step = 1.0 / eigs[-1]
-    (g00, g01, g02), (_, g11, g12), (_, _, g22) = moments[2:, 2:].tolist()
-    cov = moments[:2, 2:].tolist()
-    sww = float(moments[0, 0] + moments[1, 1])
-
-    m = mg = [[0.0] * 3] * 2  # M and M G
-    norm = 0.0  # ||M||_2
-    current = 0.5 * sww
-    for _ in range(max_iterations):
-        y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
-        new, new_norm = _prox_spectral(y, step * mu)
-        new_g = [[x0 * g00 + x1 * g01 + x2 * g02, x0 * g01 + x1 * g11 + x2 * g12,
-                  x0 * g02 + x1 * g12 + x2 * g22] for x0, x1, x2 in new]
-        change = mu * (new_norm - norm) + sum(
-            (x1 - x0) * (0.5 * (g1 + g0) - c)
-            for r in zip(new, m, new_g, mg, cov)
-            for x1, x0, g1, g0, c in zip(*r)
-        )
-        m, mg, norm = new, new_g, new_norm
-        prev, current = current, current + change
-        if -change < tol * max(prev, 1e-300):
-            break
-
-    u, sv, vt = np.linalg.svd(np.array(m), full_matrices=False)
+    u, sv, vt = np.linalg.svd(_relaxed_m(moments, mu, max_iterations, tol), full_matrices=False)
     s_est = float((sv[0] + sv[1]) / 2.0)
     rbar_a = u @ vt
+    sww = float(moments[0, 0] + moments[1, 1])
     n = (s_est * moments[:2, 2:]).tolist()
     g = (s_est * s_est * moments[2:, 2:]).tolist()
     return sorted(  # by the cost with the offset at the weighted means

@@ -730,33 +730,38 @@ def numpy_prox_spectral(m, t):
     return (u * new) @ vt
 
 
-def numpy_convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
-    """Reference relaxation: the same proximal-gradient iterates as
-    wp_solver.convex_init, with O(p) array passes and an SVD per prox and
-    per objective. Returns the (s, rbar) candidates ranked by their cost at
-    c = 0, with the residuals formed from arrays."""
-    d = obs.d
-    dsum = d.sum()
-    w = wp_solver._cleaned_w(obs)
-    wbar, bbar = w @ d / dsum, b0 @ d / dsum
-    wc, bc = w - wbar[:, None], b0 - bbar[:, None]
-    step = 1.0 / np.linalg.eigvalsh(bc @ (d[:, None] * bc.T))[-1]
-
-    def objective(mm):
-        r = wc - mm @ bc
-        return 0.5 * np.sum(d * np.sum(r**2, axis=0)) + mu * np.linalg.svd(
-            mm, compute_uv=False
-        )[0]
-
+def long_proximal_run(g, c, mu, steps=20000):
+    """The relaxation min 0.5 <M G, M> - <C, M> + mu ||M||_2 by proximal
+    gradient from M = 0, with an SVD per prox, run until the iterate stops
+    changing: the reference minimizer."""
+    step = 1.0 / np.linalg.eigvalsh(g)[-1]
     m = np.zeros((2, 3))
-    prev = objective(m)
-    for _ in range(max_iterations):
-        grad = ((m @ bc - wc) * d) @ bc.T
-        m = numpy_prox_spectral(m - step * grad, step * mu)
-        cur = objective(m)
-        if prev - cur < tol * max(prev, 1e-300):
+    for _ in range(steps):
+        new = numpy_prox_spectral(m - step * (m @ g - c), step * mu)
+        if np.array_equal(new, m):
             break
-        prev = cur
+        m = new
+    return m
+
+
+def centred_rows(obs, b0):
+    """The weighted-mean-centred keypoints and mean shape of a fit."""
+    d = obs.d
+    w = wp_solver._cleaned_w(obs)
+    return w - (w @ d / d.sum())[:, None], b0 - (b0 @ d / d.sum())[:, None]
+
+
+def numpy_relaxed_m(obs, b0, mu):
+    """Reference relaxation: long_proximal_run on moments formed from arrays."""
+    wc, bc = centred_rows(obs, b0)
+    return long_proximal_run((bc * obs.d) @ bc.T, (wc * obs.d) @ bc.T, mu)
+
+
+def numpy_convex_init(obs, b0, m):
+    """Reference candidates: the (s, rbar) factors of a relaxed M ranked by
+    their cost at c = 0, with the residuals formed from arrays."""
+    d = obs.d
+    wc, bc = centred_rows(obs, b0)
     u, sv, vt = np.linalg.svd(m, full_matrices=False)
     s_est = float((sv[0] + sv[1]) / 2.0)
     candidates = []
@@ -766,6 +771,41 @@ def numpy_convex_init(obs, b0, mu, max_iterations=5000, tol=1e-10):
         candidates.append((cost, s_est, rbar))
     candidates.sort(key=lambda t: t[0])
     return [(s, rbar) for _, s, rbar in candidates]
+
+
+def moments_objective(moments, mu, m):
+    """The relaxed objective 0.5 sww - <C, M> + 0.5 <M G, M> + mu ||M||_2."""
+    g, c = moments[2:, 2:], moments[:2, 2:]
+    return (0.5 * (moments[0, 0] + moments[1, 1]) - np.sum(c * m)
+            + 0.5 * np.sum((m @ g) * m) + mu * np.linalg.norm(m, 2))
+
+
+def reaches_long_run_objective(moments, mu, m, rel):
+    """The relaxed objective at ``m`` is no higher than at long_proximal_run's
+    minimizer, up to ``rel`` relative."""
+    f_long = moments_objective(
+        moments, mu, long_proximal_run(moments[2:, 2:], moments[:2, 2:], mu)
+    )
+    return moments_objective(moments, mu, m) <= f_long + rel * abs(f_long)
+
+
+def moments_of(c, g, slack=1.0):
+    """5x5 moments with cross moments C and mean-shape Gram G, and image
+    moments C G^+ C^T + slack I, so that they are a Gram matrix."""
+    out = np.zeros((5, 5))
+    out[:2, :2] = c @ np.linalg.pinv(g) @ c.T + slack * np.eye(2)
+    out[:2, 2:], out[2:, :2], out[2:, 2:] = c, c.T, g
+    return out
+
+
+def spectral_norm_derivatives(frame):
+    """The gradient u1 v1^T and the closed-form Hessian of ||M||_2 over the
+    row-major entries of M, from the singular frame of wp_solver._norm_frame."""
+    s1, s2, gap, (u1, u2), (v1, v2, v3) = frame
+    ea, eb, ec = (np.outer(u, v).ravel() for u, v in ((u1, v2), (u2, v1), (u1, v3)))
+    hess = (s1 * (np.outer(ea, ea) + np.outer(eb, eb))
+            + s2 * (np.outer(ea, eb) + np.outer(eb, ea))) / (s1**2 - s2**2)
+    return np.outer(u1, v1).ravel(), hess + np.outer(ec, ec) / s1
 
 
 def assert_prox_matches_reference(y, t):
@@ -841,6 +881,10 @@ class TestFloatRelaxation:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_relaxation_matches_numpy_reference(self, basis, seed):
+        # A proximal loop stopped on its objective change ends 4e-7 to 5e-6
+        # from the minimizer on these seeds, so the oracle is the minimizer
+        # itself: its KKT equation where s1 > s2, where the optimum is tied the
+        # objective of a long proximal run, and that run's factors.
         rng = np.random.default_rng(720 + seed)
         obs, _ = make_wp_obs(basis, 730 + seed, s=rng.uniform(0.01, 100.0))
         w = obs.w + rng.normal(0.0, 0.05, obs.w.shape) * np.abs(obs.w).max()
@@ -848,13 +892,149 @@ class TestFloatRelaxation:
         d[rng.integers(basis.num_keypoints)] = 0.0
         obs = KeypointObservations(w + rng.normal(0.0, 100.0, (2, 1)), d)
         mu = array_mu(wp_solver._cleaned_w(obs), d) * rng.uniform(0.1, 10)
-        got = convex_init(wp_moments(obs, basis.b0), mu)
-        ref = numpy_convex_init(obs, basis.b0, mu)
+        moments = wp_moments(obs, basis.b0)
+        m = wp_solver._relaxed_m(moments, mu)
+        u, sv, vt = np.linalg.svd(m)
+        tied = seed in (1, 5, 6, 7)
+        assert (sv[0] - sv[1] <= 1e-8 * sv[0]) == tied
+        ref_m = numpy_relaxed_m(obs, basis.b0, mu)
+        if tied:
+            f_long = moments_objective(moments, mu, ref_m)
+            assert moments_objective(moments, mu, m) <= f_long * (1.0 + 1e-12)
+        else:
+            g, c = moments[2:, 2:], moments[:2, 2:]
+            kkt = m @ g - c + mu * np.outer(u[:, 0], vt[0])
+            assert np.linalg.norm(kkt) <= 1e-9 * np.linalg.norm(c)
+        got = convex_init(moments, mu)
+        ref = numpy_convex_init(obs, basis.b0, ref_m)
         assert len(got) == len(ref) == 2
         # zip in order: the candidates must also be ranked alike
         for (s, rbar), (s_ref, rbar_ref) in zip(got, ref):
             assert s == pytest.approx(s_ref, rel=1e-9)
             assert np.max(np.abs(rbar - rbar_ref)) <= 1e-9
+
+    @pytest.mark.parametrize("rank", [2, 1])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_spectral_norm_derivatives_match_finite_differences(self, seed, rank):
+        # rank 1 (s2 = 0 up to rounding) is smooth too, but m1 x m2 is rounding there
+        rng = np.random.default_rng(750 + seed)
+        m = rng.normal(size=(2, 3)) * 10.0 ** rng.uniform(-2, 2)
+        if rank == 1:
+            m = np.outer(rng.normal(size=2), m[0])
+        grad, hess = spectral_norm_derivatives(wp_solver._norm_frame(m.tolist()))
+        scale = np.linalg.norm(m)
+        h = 1e-5 * scale
+        basis6 = np.eye(6).reshape(6, 2, 3)
+
+        def top_gradient(x):
+            u, _, vt = np.linalg.svd(x)
+            return np.outer(u[:, 0], vt[0]).ravel()
+
+        fd_grad = [(np.linalg.norm(m + h * e, 2) - np.linalg.norm(m - h * e, 2)) / (2 * h)
+                   for e in basis6]
+        fd_hess = np.array([(top_gradient(m + h * e) - top_gradient(m - h * e)) / (2 * h)
+                            for e in basis6])
+        assert np.max(np.abs(grad - fd_grad)) <= 1e-8
+        assert np.max(np.abs(hess - fd_hess)) <= 1e-6 / scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_newton_direction_solves_the_closed_form_system(self, seed):
+        # the frame-wise block solve against the 6x6 system it factors
+        rng = np.random.default_rng(760 + seed)
+        m = rng.normal(size=(2, 3))
+        lam = np.sort(rng.uniform(0.5, 5.0, 3))
+        mu = rng.uniform(0.01, 3.0)
+        grad = rng.normal(size=(2, 3))
+        frame = wp_solver._norm_frame(m.tolist())
+        got = wp_solver._newton_direction(frame, grad.tolist(), lam.tolist(), mu)
+        hess = np.kron(np.eye(2), np.diag(lam)) + mu * spectral_norm_derivatives(frame)[1]
+        want = -np.linalg.solve(hess, grad.ravel())
+        assert np.max(np.abs(np.ravel(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_norm_frame_declines_the_kink(self):
+        # s1 - s2 <= 1e-8 s1: no Hessian is formed there
+        rng = np.random.default_rng(765)
+        for _ in range(20):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            s1 = rng.uniform(0.1, 10.0)
+            for s2, smooth in ((s1, False), (s1 * (1 - 1e-9), False),
+                               (s1 * (1 - 1e-7), True), (0.5 * s1, True)):
+                frame = wp_solver._norm_frame((u @ np.diag([s1, s2]) @ v[:2]).tolist())
+                assert (frame is not None) == smooth
+                if smooth:
+                    assert frame[:2] == pytest.approx((s1, s2), rel=1e-12)
+
+    def test_newton_step_never_raises_the_objective(self):
+        # near the kink the full Newton step often rises; the search must not keep it
+        rng = np.random.default_rng(800)
+        rises = 0
+        for _ in range(200):
+            lam = np.sort(rng.uniform(0.1, 5.0, 3))
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            v, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            s1 = rng.uniform(0.5, 2.0)
+            m = u @ np.diag([s1, s1 * (1 - 10 ** rng.uniform(-7, -0.5))]) @ v[:2]
+            c = rng.normal(size=(2, 3)) * rng.uniform(0.1, 3.0)
+            mu = 10 ** rng.uniform(-2, 1)
+
+            def objective(x):
+                return 0.5 * np.sum(x * x * lam) - np.sum(c * x) + mu * np.linalg.norm(x, 2)
+
+            uu, _, vt = np.linalg.svd(m)
+            grad = m * lam - c + mu * np.outer(uu[:, 0], vt[0])
+            frame = wp_solver._norm_frame(m.tolist())
+            full = wp_solver._newton_direction(frame, grad.tolist(), lam.tolist(), mu)
+            rises += objective(m + np.array(full)) > objective(m)
+            new = wp_solver._newton_relaxed(m.tolist(), c.tolist(), lam.tolist(), mu, 0.0)
+            assert new is None or objective(np.array(new)) < objective(m)
+        assert rises > 10
+
+    def test_norm_change_is_exact_for_steps_near_rounding(self):
+        rng = np.random.default_rng(770)
+        m, d = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+        grad = spectral_norm_derivatives(wp_solver._norm_frame(m.tolist()))[0]
+        for t in (1.0, 1e-3, 1e-9):
+            want = np.linalg.norm(m + t * d, 2) - np.linalg.norm(m, 2)
+            got = wp_solver._norm_change(m.tolist(), d.tolist(), t)
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        # below rounding of ||M||_2 the difference of norms reads 0; the change does not
+        got = wp_solver._norm_change(m.tolist(), d.tolist(), 1e-14)
+        assert got == pytest.approx(1e-14 * grad @ d.ravel(), rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize("case", ["isotropic", "kink", "zero"])
+    def test_tied_optimum_reaches_the_proximal_minimum(self, basis, case):
+        # s1 = s2 at the optimum, where ||M||_2 has no Hessian: the Newton steps
+        # give way to proximal steps, which end at the long run's objective
+        rng = np.random.default_rng(780)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        mu = 0.5
+        if case == "isotropic":  # C G^-1 = y / g has tied singular values
+            g = 2.0 * np.eye(3)
+            moments, want = moments_of(2.5 * q[:2], g), (2.5 - 0.5 * mu) / 2.0 * q[:2]
+        elif case == "kink":  # M* = tau R with C = M* G + mu R / 2
+            g = q @ np.diag([1.0, 2.0, 4.0]) @ q.T
+            want = 0.8 * np.eye(3)[:2] @ np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            moments = moments_of(want @ g + 0.5 * mu * want / 0.8, g)
+        else:  # mu above ||C G^-1||-scale shrinks M to 0
+            obs, _ = make_wp_obs(basis, 781)
+            moments, mu, want = wp_moments(obs, basis.b0), 1e9, np.zeros((2, 3))
+        m = wp_solver._relaxed_m(moments, mu)
+        assert np.max(np.abs(m - want)) <= 1e-9 * max(np.abs(want).max(), 1.0)
+        assert reaches_long_run_objective(moments, mu, m, 1e-12)
+
+    def test_coplanar_mean_shape_relaxation(self):
+        # a planar mean shape makes G rank 2: no Newton start, proximal steps from 0
+        rng = np.random.default_rng(790)
+        b0 = np.vstack([rng.uniform(-1.0, 1.0, (2, 10)), np.zeros(10)])
+        w = rng.normal(size=(2, 3)) @ b0 + rng.normal(0.0, 0.05, (2, 10))
+        obs = KeypointObservations(w, rng.uniform(0.2, 1.0, 10))
+        moments = wp_moments(obs, b0)
+        assert np.linalg.matrix_rank(moments[2:, 2:]) == 2
+        mu = array_mu(obs.w, obs.d)
+        m = wp_solver._relaxed_m(moments, mu)
+        assert reaches_long_run_objective(moments, mu, m, 1e-9)
+        assert len(convex_init(moments, mu)) == 2
 
     def test_relaxation_makes_one_svd(self, basis, monkeypatch):
         calls = []
