@@ -5,9 +5,14 @@ the population, and check that the recovered basis spans the same subspace
 and explains the variance we put in.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from kpfit import build_basis, compose_shape, load_basis, save_basis, variance_explained
+
+BASIS_PATH = os.path.join(tempfile.gettempdir(), "demo_basis.txt")
 
 
 def hidden_model(rng, p=15):
@@ -39,10 +44,10 @@ def main():
     overlap = np.linalg.svd(truth.T @ found, compute_uv=False)
     print(f"subspace cosines (1 = aligned): {np.round(overlap, 6)}")
 
-    save_basis(basis, "/tmp/demo_basis.txt")
-    reloaded = load_basis("/tmp/demo_basis.txt")
+    save_basis(basis, BASIS_PATH)
+    reloaded = load_basis(BASIS_PATH)
     assert np.array_equal(reloaded.b0, basis.b0)
-    print("saved to /tmp/demo_basis.txt and reloaded bit-exactly")
+    print(f"saved to {BASIS_PATH} and reloaded bit-exactly")
 
     # a shape composed from coefficients stays within the training spread
     sample = compose_shape(basis, np.sqrt(basis.eigenvalues))

@@ -5,6 +5,9 @@ deformed shape at 25 object diameters, perturb the keypoints, and recover the
 pose with the block coordinate descent solver seeded by its convex relaxation.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from kpfit import (
@@ -18,9 +21,11 @@ from kpfit import (
 )
 from kpfit.bench import _uniform_rotation
 
+BASIS_PATH = os.path.join(tempfile.gettempdir(), "demo_basis.txt")
+
 
 def main():
-    basis = load_basis("/tmp/demo_basis.txt")
+    basis = load_basis(BASIS_PATH)
     rng = np.random.default_rng(1)
 
     c_true = rng.normal(0.0, 1.0, basis.num_modes) * np.sqrt(basis.eigenvalues)

@@ -6,6 +6,9 @@ depths along the observation rays and re-fits shape coefficients, recovering
 the metric translation as well.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from kpfit import (
@@ -20,9 +23,11 @@ from kpfit import (
 )
 from kpfit.bench import _uniform_rotation
 
+BASIS_PATH = os.path.join(tempfile.gettempdir(), "demo_basis.txt")
+
 
 def main():
-    basis = load_basis("/tmp/demo_basis.txt")
+    basis = load_basis(BASIS_PATH)
     intrinsics = CameraIntrinsics(800.0, 800.0, 320.0, 240.0)
     rng = np.random.default_rng(2)
 

@@ -6,6 +6,9 @@ refinement, and feed the peak values in as per-keypoint confidences. The
 corrupted maps get weak peaks, so the solver discounts them automatically.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from kpfit import (
@@ -21,9 +24,12 @@ from kpfit import (
 )
 from kpfit.bench import _uniform_rotation
 
+BASIS_PATH = os.path.join(tempfile.gettempdir(), "demo_basis.txt")
+MAPS_PATH = os.path.join(tempfile.gettempdir(), "demo_maps.kphm")
+
 
 def main():
-    basis = load_basis("/tmp/demo_basis.txt")
+    basis = load_basis(BASIS_PATH)
     intrinsics = CameraIntrinsics(800.0, 800.0, 320.0, 240.0)
     rng = np.random.default_rng(3)
 
@@ -44,8 +50,8 @@ def main():
             hm.values[rng.integers(0, 480), rng.integers(0, 640)] = 0.12
         maps.append(hm)
 
-    write_heatmaps(maps, "/tmp/demo_maps.kphm")
-    maps = read_heatmaps("/tmp/demo_maps.kphm")
+    write_heatmaps(maps, MAPS_PATH)
+    maps = read_heatmaps(MAPS_PATH)
     print(f"wrote and reloaded {len(maps)} heatmaps of "
           f"{maps[0].width}x{maps[0].height}")
 

@@ -6,6 +6,9 @@ weighting should beat the uniform ablation. Fixed seeds make every run
 byte-identical.
 """
 
+import os
+import tempfile
+
 from kpfit import (
     CameraIntrinsics,
     NoiseModel,
@@ -15,9 +18,11 @@ from kpfit import (
     run_benchmark,
 )
 
+BASIS_PATH = os.path.join(tempfile.gettempdir(), "demo_basis.txt")
+
 
 def main():
-    basis = load_basis("/tmp/demo_basis.txt")
+    basis = load_basis(BASIS_PATH)
     intrinsics = CameraIntrinsics(800.0, 800.0, 320.0, 240.0)
 
     print("close range (3-5 diameters), pixel noise sigma = 2")

@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .observations import KeypointObservations
 from .shape_basis import compose_shape
-from .wp_solver import SolverOptions, _checked_inputs, _cleaned_w, solve_wp
+from .wp_solver import SolverOptions, _checked_inputs, _cleaned_w, _tied, solve_wp
 
 DEPTH_FLOOR_FACTOR = 1e-6
 
@@ -204,8 +204,7 @@ def wp_to_fp_init(wp, intrinsics=None):
         tx, ty = wp.tbar
     else:
         s_n = wp.s / np.sqrt(intrinsics.fx * intrinsics.fy)
-        ty = (wp.tbar[1] - intrinsics.cy) / intrinsics.fy
-        tx = (wp.tbar[0] - intrinsics.cx - intrinsics.skew * ty) / intrinsics.fx
+        tx, ty, _ = normalize_keypoints(wp.tbar[:, None], intrinsics)[:, 0]
     translation = np.array([tx / s_n, ty / s_n, 1.0 / s_n])
     return rotation, translation
 
@@ -290,8 +289,7 @@ def solve_fp(obs, intrinsics, basis, opts=None, init=None):
         new = _minimize_form(omega, rotation)
         t = -ainv_lg @ new.ravel()
         z, pins, cost = ray_depths(new, t, shape, c)
-        rise = cost - current > 8.0 * math.ulp(max(cost, current))
-        if rise or np.any(pins & (d > 0.0)):
+        if (cost > current and not _tied(cost, current)) or np.any(pins & (d > 0.0)):
             target, sbar = wt * depths, shape @ d / d.sum()
             xbar = target @ d / d.sum()
             new = weighted_procrustes(target - xbar[:, None], shape - sbar[:, None], d)

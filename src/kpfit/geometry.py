@@ -1,7 +1,9 @@
 """Rotation utilities, weighted Procrustes alignment, and camera projections.
 
 All rotations are plain 3x3 numpy arrays. Angles are radians everywhere;
-degrees appear only in benchmark reports.
+degrees appear only in benchmark reports. Every SVD projection onto SO(3),
+Procrustes included, is project_to_so3, so one uniqueness rule decides when
+such a rotation is not determined.
 """
 
 from __future__ import annotations
@@ -16,30 +18,30 @@ from .errors import DegenerateGeometryError, InvalidRotationError
 ROTATION_TOL = 1e-9
 
 
-def check_rotation(r, tol=ROTATION_TOL):
-    """Validate that ``r`` is a proper rotation matrix; returns it as float array."""
+def _orthonormal_rows(r, rows):
+    """``r`` as a float array after the checks both validators share: shape
+    (rows, 3), finite entries and orthonormal rows to ROTATION_TOL."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise InvalidRotationError(f"expected 3x3 matrix, got shape {r.shape}")
+    if r.shape != (rows, 3):
+        raise InvalidRotationError(f"expected {rows}x3 matrix, got shape {r.shape}")
     if not np.all(np.isfinite(r)):
-        raise InvalidRotationError("rotation matrix has non-finite entries")
-    if np.max(np.abs(r.T @ r - np.eye(3))) > tol:
-        raise InvalidRotationError("matrix rows/columns are not orthonormal")
-    if abs(np.linalg.det(r) - 1.0) > tol:
+        raise InvalidRotationError("matrix has non-finite entries")
+    if np.max(np.abs(r @ r.T - np.eye(rows))) > ROTATION_TOL:
+        raise InvalidRotationError("rows are not orthonormal")
+    return r
+
+
+def check_rotation(r):
+    """Validate that ``r`` is a proper rotation matrix; returns it as float array."""
+    r = _orthonormal_rows(r, 3)
+    if abs(np.linalg.det(r) - 1.0) > ROTATION_TOL:
         raise InvalidRotationError("matrix determinant is not +1")
     return r
 
 
-def check_stiefel_rows(rbar, tol=ROTATION_TOL):
+def check_stiefel_rows(rbar):
     """Validate a 2x3 matrix with orthonormal rows (top two rows of a rotation)."""
-    rbar = np.asarray(rbar, dtype=float)
-    if rbar.shape != (2, 3):
-        raise InvalidRotationError(f"expected 2x3 matrix, got shape {rbar.shape}")
-    if not np.all(np.isfinite(rbar)):
-        raise InvalidRotationError("matrix has non-finite entries")
-    if np.max(np.abs(rbar @ rbar.T - np.eye(2))) > tol:
-        raise InvalidRotationError("rows are not orthonormal")
-    return rbar
+    return _orthonormal_rows(rbar, 2)
 
 
 def lift_stiefel(rbar):
@@ -168,24 +170,34 @@ def geodesic_distance(r1, r2):
 
 
 def project_to_so3(m):
-    """Closest rotation to ``m`` in the Frobenius sense (SVD with sign fix)."""
+    """The rotation R maximizing tr(R^T M) for a finite 3x3 ``m``: the closest
+    rotation to M in the Frobenius sense, and the Procrustes rotation of a
+    cross-covariance M = sum_i w_i a_i b_i^T. With M = U diag(s) V^T it is
+    U diag(1, 1, d) V^T for d = det(U V^T), which is unique iff s2 + d s3 > 0
+    (Umeyama, TPAMI 1991). DegenerateGeometryError when s2 + min(d, 0) s3 <=
+    1e-9 s1: a (near-)collinear configuration for d = +1, a (near-)tied sign
+    flip for d = -1.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3) or not np.all(np.isfinite(m)):
         raise ValueError("expected a finite 3x3 matrix")
     u, s, vt = np.linalg.svd(m)
     d = np.linalg.det(u) * np.linalg.det(vt)
-    if d < 0.0 and s[1] - s[2] <= 1e-12 * max(s[0], 1.0):
+    if s[1] + min(d, 0.0) * s[2] <= 1e-9 * s[0]:
         raise DegenerateGeometryError(
-            "projection to SO(3) is ambiguous: sign flip needed with equal "
-            "smallest singular values"
+            "the rotation is not determined: the weighted configuration is "
+            "(near-)collinear, or a reflection ties two rotations"
         )
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
 def weighted_procrustes(a, b, w):
-    """Rotation minimizing sum_i w_i ||a_i - R b_i||^2 (no translation).
+    """Rotation minimizing sum_i w_i ||a_i - R b_i||^2 (no translation): the
+    projection to SO(3) of the cross-covariance sum_i w_i a_i b_i^T.
 
     ``a`` and ``b`` are 3xp point sets, ``w`` nonnegative per-point weights.
+    DegenerateGeometryError when fewer than 3 points carry weight or the
+    rotation is not unique (see project_to_so3).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -198,23 +210,7 @@ def weighted_procrustes(a, b, w):
         raise ValueError("weights must be nonnegative")
     if np.count_nonzero(w > 0.0) < 3:
         raise DegenerateGeometryError("need at least 3 positively weighted points")
-    return rotation_from_cross_covariance((a * w) @ b.T)
-
-
-def rotation_from_cross_covariance(cross_cov):
-    """Rotation R maximizing tr(R^T C) for a 3x3 cross-covariance C.
-
-    This is the Procrustes rotation for C = sum_i w_i a_i b_i^T: the SVD of C
-    with the sign of the last singular direction fixed so that det R = +1.
-    """
-    u, s, vt = np.linalg.svd(cross_cov)
-    if s[1] <= 1e-9 * max(s[0], 1e-300):
-        raise DegenerateGeometryError(
-            "weighted point configuration is (near-)collinear; rotation is "
-            "not determined"
-        )
-    d = np.linalg.det(u) * np.linalg.det(vt)
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+    return project_to_so3((a * w) @ b.T)
 
 
 def near_coplanar(points):
@@ -250,11 +246,6 @@ class CameraIntrinsics:
             raise ValueError("focal lengths must be positive")
         if not np.isfinite([self.fx, self.fy, self.cx, self.cy, self.skew]).all():
             raise ValueError("intrinsics must be finite")
-
-    def matrix(self):
-        return np.array(
-            [[self.fx, self.skew, self.cx], [0.0, self.fy, self.cy], [0.0, 0.0, 1.0]]
-        )
 
     def project(self, points):
         """Pinhole projection of 3xp camera-frame points to 2xp pixels."""

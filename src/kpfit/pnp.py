@@ -18,6 +18,9 @@ from .errors import (
 )
 from .geometry import near_coplanar, normalize_keypoints, project_to_so3, so3_exp
 
+# Gauss-Newton steps of the refinement, at most
+_MAX_ITERATIONS = 100
+
 
 @dataclass
 class PnPEstimate:
@@ -80,7 +83,7 @@ def _rmse(residuals, p):
     return float(np.sqrt(np.sum(residuals**2) / p))
 
 
-def solve_pnp(points3d, points2d, intrinsics, max_iterations=100):
+def solve_pnp(points3d, points2d, intrinsics):
     """Estimate pose of a rigid 3xp model from 2xp pixel keypoints.
 
     DLT on normalized coordinates, projected to SO(3), then refined by
@@ -111,7 +114,7 @@ def solve_pnp(points3d, points2d, intrinsics, max_iterations=100):
     rmse = _rmse(residuals, p)
 
     damping = 1e-3
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         jac = _reprojection_jacobian(points3d, cam, rotation, intrinsics)
         gradient = jac.T @ residuals
         if np.linalg.norm(gradient) < 1e-12:

@@ -7,7 +7,9 @@ row-orthonormality constraint with a spectral-norm regularizer (Zhou,
 Leonardos, Hu & Daniilidis, CVPR 2015). The relaxation takes Newton steps
 where the spectral norm is smooth, with the closed-form Hessian of Lewis &
 Sendov (SIAM J. Matrix Anal. Appl. 2001), and proximal gradient steps at a
-tied optimum, where the two singular values meet. In both stages the offset is
+tied optimum, where the two singular values meet. Both stop on one test, the
+strong-convexity bound on the distance to the minimizer; a coplanar mean shape
+is solved in its plane, where that bound holds. In both stages the offset is
 eliminated exactly at the weighted means, so both see the keypoints only
 through one Gram of the centred rows [W; B0; B_1 .. B_k], formed once per fit:
 the relaxation reads its leading 5x5 block, the moments of [W; B0], and the
@@ -20,8 +22,9 @@ an exact minimizer, so the cost never rises:
   plain float arithmetic on their 2x3 and 3x3 moments. A step is kept only
   when the Hessian is positive definite and the cost does not rise; a rise
   within the stopping tolerance ends the block as solved. Otherwise the step
-  is one Procrustes pass on the cross-covariance completed with the missing
-  third image row (Kiers, Psychometrika 1990), which cannot raise the cost.
+  is one Procrustes pass, geometry.project_to_so3 of the cross-covariance
+  completed with the missing third image row (Kiers, Psychometrika 1990),
+  which cannot raise the cost.
 """
 
 from __future__ import annotations
@@ -34,17 +37,19 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InsufficientConstraintsError
 from .geometry import (
-    check_stiefel_rows, lift_stiefel, rotation_from_cross_covariance, so3_newton_rows,
-    spd_solve3,
+    check_stiefel_rows, lift_stiefel, project_to_so3, so3_newton_rows, spd_solve3,
 )
 from .shape_basis import compose_shape
 
 logger = logging.getLogger(__name__)
 
-# Newton steps of the relaxation before proximal steps take over, and the
-# step lengths 1, 1/2, .. one Newton step tries
+# Newton steps of the relaxation before proximal steps take over, the step
+# lengths 1, 1/2, .. one Newton step tries, the proximal steps after them,
+# and the relative distance to the minimizer at which the relaxation stops
 _NEWTON_STEPS = 8
 _BACKTRACKS = 20
+_PROX_STEPS = 5000
+_RELAX_TOL = 1e-10
 
 
 @dataclass
@@ -352,7 +357,7 @@ def _newton_relaxed(m, cov, lam, mu, bound):
     return None
 
 
-def _relaxed_m(moments, mu, max_iterations=5000, tol=1e-10):
+def _relaxed_m(moments, mu):
     """The minimizer M (a 2x3 array) of the relaxation in convex_init, found
     in the eigenvectors Q of G = Q diag(lam) Q^T: M Q has the same spectral
     norm, and there G is diag(lam) and C is C Q."""
@@ -363,15 +368,16 @@ def _relaxed_m(moments, mu, max_iterations=5000, tol=1e-10):
     if lam[-1] <= 0.0 or lam[1] <= 1e-12 * lam[-1]:
         raise DegenerateGeometryError("mean shape is (near-)collinear")
     cq = moments[:2, 2:] @ vecs
+    if lam[0] <= 1e-12 * lam[-1]:
+        # a coplanar mean shape: with C's column off the plane dropped, a part
+        # of M off the plane only adds to ||M||_2, so a weight lam[1] there
+        # keeps the minimizer, in the plane, and makes G positive definite
+        lam[0], cq[:, 0] = lam[1], 0.0
     cov, lams = cq.tolist(), lam.tolist()
-    if lam[0] > 1e-12 * lam[-1]:  # start at the mu = 0 minimizer C G^-1
-        m = (cq / lam).tolist()
-        # |M - M*|_F <= |g|_F / lambda_min(G) for a (sub)gradient g, held to
-        # tol, but not below g's rounding, about 1e-14 lambda_max(G) |M|_F
-        bound = max(tol * lams[0], 1e-14 * lams[-1])
-    else:  # a coplanar mean shape: G is singular, and M = 0 is tied
-        m = [[0.0] * 3] * 2
-        bound = 0.0
+    m = (cq / lam).tolist()  # the mu = 0 minimizer C G^+
+    # |M - M*|_F <= |g|_F / lambda_min(G) for a (sub)gradient g, held to
+    # _RELAX_TOL, but not below g's rounding, about 1e-14 lambda_max(G) |M|_F
+    bound = max(_RELAX_TOL * lams[0], 1e-14 * lams[-1])
     for _ in range(_NEWTON_STEPS):
         new = _newton_relaxed(m, cov, lams, mu, bound)
         if new is m:
@@ -382,34 +388,21 @@ def _relaxed_m(moments, mu, max_iterations=5000, tol=1e-10):
 
     # proximal gradient from M: the tied optimum (s1 = s2) and failed steps
     step = 1.0 / lams[-1]
-    norm = _gram_2x3(m)[4]  # ||M||_2
     mg = [[x * l for x, l in zip(row, lams)] for row in m]
-    current = 0.5 * float(moments[0, 0] + moments[1, 1]) + mu * norm + sum(
-        x * (0.5 * g - c) for r in zip(m, mg, cov) for x, g, c in zip(*r)
-    )
-    for _ in range(max_iterations):
+    for _ in range(_PROX_STEPS):
         y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
-        new, new_norm = _prox_spectral(y, step * mu)
-        new_g = [[x * l for x, l in zip(row, lams)] for row in new]
-        change = mu * (new_norm - norm) + sum(
-            (x1 - x0) * (0.5 * (g1 + g0) - c)
-            for r in zip(new, m, new_g, mg, cov)
-            for x1, x0, g1, g0, c in zip(*r)
-        )
+        new = _prox_spectral(y, step * mu)[0]
         # (M - M') (L I - G) is a subgradient at M' for L = lambda_max(G)
         sub = math.hypot(*[(x0 - x1) * (lams[-1] - l)
                            for r in zip(m, new) for x0, x1, l in zip(*r, lams)])
-        m, mg, norm = new, new_g, new_norm
-        prev, current = current, current + change
-        if bound:
-            if sub <= bound * math.hypot(*m[0], *m[1]):
-                break
-        elif -change < tol * max(prev, 1e-300):
+        m = new
+        if sub <= bound * math.hypot(*m[0], *m[1]):
             break
+        mg = [[x * l for x, l in zip(row, lams)] for row in m]
     return np.array(m) @ vecs.T
 
 
-def convex_init(moments, mu, max_iterations=5000, tol=1e-10):
+def convex_init(moments, mu):
     """Globally solve the relaxed problem (c = 0, spectral-norm regularizer).
 
     ``moments`` is the 5x5 matrix sum_i d_i x_i x_i^T of the rows x = [W; B0]
@@ -426,15 +419,15 @@ def convex_init(moments, mu, max_iterations=5000, tol=1e-10):
     differentiable (s1 > s2), each kept by an Armijo search on the exact
     change of the objective. The iterate is returned once strong convexity
     bounds its distance to the minimizer, |M - M*|_F <= |g|_F / lambda_min(G)
-    for a (sub)gradient g, by ``tol`` |M|_F, or by g's rounding level where
-    G is ill-conditioned. At a tied optimum (s1 = s2), or when a Newton step
-    fails, at most ``max_iterations`` proximal gradient steps finish from the
-    current point under the same bound. A singular G (a coplanar mean shape)
-    has no such bound: there the proximal steps start at 0 and stop when the
-    objective falls by less than ``tol`` relative.
+    for a (sub)gradient g, by 1e-10 |M|_F, or by g's rounding level where G
+    is ill-conditioned. At a tied optimum (s1 = s2), or when a Newton step
+    fails, at most 5000 proximal gradient steps finish from the current point
+    under the same bound. A coplanar mean shape (G of rank 2) is solved in
+    its plane: M* has no part off it, so the relaxation there starts from
+    C G^+ and takes G's second eigenvalue as lambda_min(G).
     """
     moments = np.asarray(moments, dtype=float)
-    u, sv, vt = np.linalg.svd(_relaxed_m(moments, mu, max_iterations, tol), full_matrices=False)
+    u, sv, vt = np.linalg.svd(_relaxed_m(moments, mu), full_matrices=False)
     s_est = float((sv[0] + sv[1]) / 2.0)
     rbar_a = u @ vt
     sww = float(moments[0, 0] + moments[1, 1])
@@ -521,7 +514,7 @@ def _solve_rows(sa, n, m, rows, max_steps=50):
             if 0.0 < change <= 1e-14 * max(current, 1.0):
                 break  # a Newton step rejected only by rounding: the block is solved
         if new is None or change > 0.0:
-            new = rotation_from_cross_covariance(np.array([n[0], n[1], mu])).tolist()
+            new = project_to_so3([n[0], n[1], mu]).tolist()
             change = _cost_change(n, m, rows, new)
         prev = current
         rows, current, total = new, current + change, total + change
@@ -607,15 +600,21 @@ def _bcd_wp(w, d, moments, basis, s, rbar, lam, opts):
     )
 
 
+def _tied(a, b):
+    """Whether costs ``a`` and ``b`` lie within 8 ulps of the larger, so that
+    rounding, not the fit, would decide between them (the tie rule of
+    _choose_candidate and of FP block B's fallback)."""
+    return abs(a - b) <= 8.0 * math.ulp(max(a, b))
+
+
 def _choose_candidate(results):
-    """The estimate of lowest final cost. Costs within 8 ulps of the larger
-    one tie; a tie goes to the estimate whose third row looks at +z, and
-    then to the earlier one, so rounding does not decide."""
+    """The estimate of lowest final cost. Tied costs (see _tied) go to the
+    estimate whose third row looks at +z, and then to the earlier one, so
+    rounding does not decide."""
     best = results[0]
     for other in results[1:]:
-        gap = other.final_cost - best.final_cost
-        if abs(gap) > 8.0 * math.ulp(max(other.final_cost, best.final_cost)):
-            best = other if gap < 0.0 else best
+        if not _tied(other.final_cost, best.final_cost):
+            best = other if other.final_cost < best.final_cost else best
         elif np.cross(*other.rbar)[2] > 0.0 >= np.cross(*best.rbar)[2]:
             best = other
     return best

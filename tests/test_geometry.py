@@ -108,6 +108,15 @@ class TestProjectToSo3:
         with pytest.raises(DegenerateGeometryError):
             project_to_so3(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_uniqueness_rule_is_relative(self, scale):
+        # s2 - s3 = 1e-10 s1 under a sign flip ties at every scale; a gap of
+        # s1 / 3 projects at every scale
+        with pytest.raises(DegenerateGeometryError):
+            project_to_so3(scale * np.diag([1.0, 1.0 - 1e-10, -1.0]))
+        assert np.allclose(project_to_so3(scale * np.diag([3.0, 2.0, -1.0])),
+                           np.diag([1.0, 1.0, 1.0]), atol=1e-12)
+
 
 class TestWeightedProcrustes:
     def test_identity_alignment(self):
@@ -153,6 +162,17 @@ class TestWeightedProcrustes:
         line = np.outer(np.array([1.0, 2.0, -1.0]), np.linspace(0, 1, 6))
         with pytest.raises(DegenerateGeometryError):
             weighted_procrustes(line, line, np.ones(6))
+
+    def test_mirrored_tetrahedron_raises(self):
+        # a regular tetrahedron and its mirror image: I, diag(1, -1, -1) and
+        # diag(-1, 1, -1) all reach cost 16, so no rotation is determined
+        b = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0],
+                      [1.0, -1.0, -1.0, 1.0]])
+        a = np.diag([1.0, 1.0, -1.0]) @ b
+        for r in (np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])):
+            assert np.sum((a - r @ b) ** 2) == 16.0
+        with pytest.raises(DegenerateGeometryError):
+            weighted_procrustes(a, b, np.ones(4))
 
     def test_too_few_weighted_points(self):
         rng = np.random.default_rng(15)

@@ -21,7 +21,7 @@ from kpfit import (
     wp_cost_gradient,
 )
 from kpfit import wp_solver
-from kpfit.geometry import hat
+from kpfit.geometry import hat, project_to_so3
 from conftest import array_mu, make_basis, random_rotation
 
 
@@ -503,7 +503,7 @@ def numpy_update_rbar(w, d, s, shape, tbar, rbar, max_steps=50):
             break
         else:
             n[2] = mu
-            rot = wp_solver.rotation_from_cross_covariance(n)
+            rot = project_to_so3(n)
             n[2] = 0.0
             current = cost(rot)
         if prev - current <= 1e-14 * max(prev, 1.0):
@@ -546,13 +546,12 @@ class TestRotationBlock:
         self, basis, monkeypatch
     ):
         calls = []
-        exact = wp_solver.rotation_from_cross_covariance
 
         def counting(cross_cov):
             calls.append(1)
-            return exact(cross_cov)
+            return project_to_so3(cross_cov)
 
-        monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
+        monkeypatch.setattr(wp_solver, "project_to_so3", counting)
         for seed in range(5):
             w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 500 + seed)
             best = update_rbar(w, d, s, shape, tbar, start)
@@ -576,13 +575,12 @@ def test_rotation_block_at_its_solution_needs_no_completion_pass(basis, monkeypa
     # at the block's minimizer a Newton step can raise the cost only by
     # rounding; that ends the call instead of paying for a fallback SVD
     calls = []
-    exact = wp_solver.rotation_from_cross_covariance
 
     def counting(cross_cov):
         calls.append(1)
-        return exact(cross_cov)
+        return project_to_so3(cross_cov)
 
-    monkeypatch.setattr(wp_solver, "rotation_from_cross_covariance", counting)
+    monkeypatch.setattr(wp_solver, "project_to_so3", counting)
     for seed in range(20):
         w, d, s, c, shape, tbar, start = rotation_block_scene(basis, 600 + seed)
         solved = update_rbar(w, d, s, shape, tbar, start)
@@ -1024,17 +1022,19 @@ class TestFloatRelaxation:
         assert reaches_long_run_objective(moments, mu, m, 1e-12)
 
     def test_coplanar_mean_shape_relaxation(self):
-        # a planar mean shape makes G rank 2: no Newton start, proximal steps from 0
-        rng = np.random.default_rng(790)
-        b0 = np.vstack([rng.uniform(-1.0, 1.0, (2, 10)), np.zeros(10)])
-        w = rng.normal(size=(2, 3)) @ b0 + rng.normal(0.0, 0.05, (2, 10))
-        obs = KeypointObservations(w, rng.uniform(0.2, 1.0, 10))
-        moments = wp_moments(obs, b0)
-        assert np.linalg.matrix_rank(moments[2:, 2:]) == 2
-        mu = array_mu(obs.w, obs.d)
-        m = wp_solver._relaxed_m(moments, mu)
-        assert reaches_long_run_objective(moments, mu, m, 1e-9)
-        assert len(convex_init(moments, mu)) == 2
+        # a planar mean shape makes G rank 2: the relaxation is solved in the
+        # plane, to the same distance bound as any other shape
+        for seed in range(790, 795):
+            rng = np.random.default_rng(seed)
+            b0 = np.vstack([rng.uniform(-1.0, 1.0, (2, 10)), np.zeros(10)])
+            w = rng.normal(size=(2, 3)) @ b0 + rng.normal(0.0, 0.05, (2, 10))
+            obs = KeypointObservations(w, rng.uniform(0.2, 1.0, 10))
+            moments = wp_moments(obs, b0)
+            assert np.linalg.matrix_rank(moments[2:, 2:]) == 2
+            mu = array_mu(obs.w, obs.d)
+            m = wp_solver._relaxed_m(moments, mu)
+            assert reaches_long_run_objective(moments, mu, m, 1e-12), seed
+            assert len(convex_init(moments, mu)) == 2
 
     def test_relaxation_makes_one_svd(self, basis, monkeypatch):
         calls = []
