@@ -156,17 +156,12 @@ def so3_log(r):
 
 
 def geodesic_distance(r1, r2):
-    """Geodesic rotation distance ||log(R1^T R2)||_F / sqrt(2), in [0, pi] radians."""
-    r1 = check_rotation(r1)
-    r2 = check_rotation(r2)
-    rel = r1.T @ r2
-    # ||log||_F / sqrt(2) equals the rotation angle of the relative rotation.
-    cos_theta = np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    if theta > np.pi - 1e-4:
-        # arccos loses precision near pi; the log-based angle is stable there
-        theta = np.linalg.norm(so3_log(project_to_so3(rel)))
-    return float(theta)
+    """Geodesic rotation distance ||log(R1^T R2)||_F / sqrt(2), in [0, pi]
+    radians: the angle of Q = R1^T R2 as atan2(|vee(Q - Q^T)|, tr Q - 1), from
+    twice its sine and cosine: accurate at both ends, where arccos is not."""
+    q = check_rotation(r1).T @ check_rotation(r2)
+    skew = (q[2, 1] - q[1, 2], q[0, 2] - q[2, 0], q[1, 0] - q[0, 1])
+    return math.atan2(0.5 * math.hypot(*skew), 0.5 * (q[0, 0] + q[1, 1] + q[2, 2] - 1.0))
 
 
 def project_to_so3(m):

@@ -194,31 +194,15 @@ def _gram_2x3(y):
 
 
 def _prox_spectral(y, t):
-    """Proximal operator of t * (spectral norm) at a 2x3 matrix ``y`` (nested
-    lists); returns the result and its largest singular value.
-
-    With K = y y^T, s1^2 is the larger eigenvalue of K and s1 s2 = |y1 x y2|
-    (Cauchy-Binet), which keeps a small s2 accurate. Shrinking s1 alone
-    subtracts (t / s1) P y with P = (K - s2^2 I) / (s1^2 - s2^2); the tied
-    branch scales K^(-1/2) y = ((s1^2 + s1 s2 + s2^2) I - K) y / (s1 s2 (s1 + s2)).
-    """
-    (a0, a1, a2), (b0, b1, b2) = y
-    kaa, kab, kbb, _, s1 = _gram_2x3(y)
-    cross = math.hypot(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    s2 = cross / s1 if s1 > 0.0 else 0.0
+    """Proximal operator of t * (spectral norm) at a 2x3 array ``y``, and its
+    largest singular value: with y = U diag(s1, s2) V^T, s1 alone shrinks by
+    t, or both become max(0, (s1 + s2 - t) / 2) where s1 - t would pass s2."""
+    u, (s1, s2), vt = np.linalg.svd(y, full_matrices=False)
     if s1 - s2 >= t:  # not s1 - t >= s2, which holds for s1 = s2 and t < ulp(s1)
-        f = t / (s1 * (s1 - s2) * (s1 + s2)) if t > 0.0 else 0.0
-        l00, l01, l11 = 1.0 - f * (kaa - s2 * s2), -f * kab, 1.0 - f * (kbb - s2 * s2)
-        top = s1 - t
+        sv = np.array([s1 - t, s2])
     else:
-        top = max(0.0, 0.5 * (s1 + s2 - t))  # > 0 only if s2 > 0
-        f = top / (s1 * s2 * (s1 + s2)) if top > 0.0 else 0.0
-        q = s1 * s1 + s1 * s2 + s2 * s2
-        l00, l01, l11 = f * (q - kaa), -f * kab, f * (q - kbb)
-    return [
-        [l00 * a0 + l01 * b0, l00 * a1 + l01 * b1, l00 * a2 + l01 * b2],
-        [l01 * a0 + l11 * b0, l01 * a1 + l11 * b1, l01 * a2 + l11 * b2],
-    ], top
+        sv = np.full(2, max(0.0, 0.5 * (s1 + s2 - t)))
+    return (u * sv) @ vt, sv[0]
 
 
 def _norm_change(m, d, t):
@@ -244,10 +228,10 @@ def _norm_frame(m):
     """Singular values and vectors of a 2x3 M (nested lists) where ||M||_2 is
     twice differentiable: (s1, s2, s1^2 - s2^2, (u1, u2), (v1, v2, v3)) with
     M = s1 u1 v1^T + s2 u2 v2^T, s2 >= 0 and v3 along m1 x m2. None when
-    m1 x m2 = 0 or s1 - s2 <= 1e-8 s1, too close to the kink at s1 = s2. As
-    in _prox_spectral, u1 is the top eigenvector of K = M M^T and s1 s2 =
-    |m1 x m2|. With u2 = (-u1[1], u1[0]), m1 x m2 = s1 s2 (v1 x v2) fixes the
-    sign of v2 = v3 x v1."""
+    m1 x m2 = 0 or s1 - s2 <= 1e-8 s1, too close to the kink at s1 = s2. u1
+    is the top eigenvector of K = M M^T, and s1 s2 = |m1 x m2| (Cauchy-Binet)
+    keeps a small s2 accurate. With u2 = (-u1[1], u1[0]), m1 x m2 =
+    s1 s2 (v1 x v2) fixes the sign of v2 = v3 x v1."""
     (a0, a1, a2), (b0, b1, b2) = m
     kaa, kab, kbb, gap, s1 = _gram_2x3(m)
     x0, x1, x2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
@@ -387,19 +371,15 @@ def _relaxed_m(moments, mu):
         m = new
 
     # proximal gradient from M: the tied optimum (s1 = s2) and failed steps
-    step = 1.0 / lams[-1]
-    mg = [[x * l for x, l in zip(row, lams)] for row in m]
+    m, step = np.array(m), 1.0 / lams[-1]
     for _ in range(_PROX_STEPS):
-        y = [[x - step * (g - c) for x, g, c in zip(*r)] for r in zip(m, mg, cov)]
-        new = _prox_spectral(y, step * mu)[0]
+        new = _prox_spectral(m - step * (m * lam - cq), step * mu)[0]
         # (M - M') (L I - G) is a subgradient at M' for L = lambda_max(G)
-        sub = math.hypot(*[(x0 - x1) * (lams[-1] - l)
-                           for r in zip(m, new) for x0, x1, l in zip(*r, lams)])
+        sub = np.linalg.norm((m - new) * (lam[-1] - lam))
         m = new
-        if sub <= bound * math.hypot(*m[0], *m[1]):
+        if sub <= bound * np.linalg.norm(m):
             break
-        mg = [[x * l for x, l in zip(row, lams)] for row in m]
-    return np.array(m) @ vecs.T
+    return m @ vecs.T
 
 
 def convex_init(moments, mu):
@@ -421,10 +401,10 @@ def convex_init(moments, mu):
     bounds its distance to the minimizer, |M - M*|_F <= |g|_F / lambda_min(G)
     for a (sub)gradient g, by 1e-10 |M|_F, or by g's rounding level where G
     is ill-conditioned. At a tied optimum (s1 = s2), or when a Newton step
-    fails, at most 5000 proximal gradient steps finish from the current point
-    under the same bound. A coplanar mean shape (G of rank 2) is solved in
-    its plane: M* has no part off it, so the relaxation there starts from
-    C G^+ and takes G's second eigenvalue as lambda_min(G).
+    fails, at most 5000 proximal gradient steps (an SVD each) finish from the
+    current point under the same bound. A coplanar mean shape (G of rank 2)
+    is solved in its plane: M* has no part off it, so the relaxation there
+    starts from C G^+ and takes G's second eigenvalue as lambda_min(G).
     """
     moments = np.asarray(moments, dtype=float)
     u, sv, vt = np.linalg.svd(_relaxed_m(moments, mu), full_matrices=False)

@@ -54,6 +54,18 @@ class TestGeodesicDistance:
             assert geodesic_distance(r2, r1) == pytest.approx(d, abs=1e-9)
             assert geodesic_distance(q @ r1, q @ r2) == pytest.approx(d, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 0.5, np.pi - 1e-6])
+    @pytest.mark.parametrize("random_axis", [False, True])
+    def test_angle_is_accurate_at_both_ends(self, theta, random_axis):
+        # arccos of the trace loses all of an angle below about 1e-8 rad
+        axis = np.array([1.0, 0.0, 0.0])
+        if random_axis:
+            axis = np.random.default_rng(7).normal(size=3)
+            axis /= np.linalg.norm(axis)
+        r = so3_exp(theta * axis)
+        angle = geodesic_distance(np.eye(3), r)
+        assert angle == pytest.approx(theta, rel=1e-9, abs=0.0)
+
     def test_rejects_non_rotation(self):
         with pytest.raises(InvalidRotationError):
             geodesic_distance(np.eye(3) * 1.01, np.eye(3))

@@ -3,8 +3,10 @@
 Both fits see the keypoints through weighted sums over them, whose value
 depends on the summation order only by rounding, so reordering the keypoints
 (with the basis) must leave the estimates unchanged to far below the
-solvers' tolerance. Zero-confidence keypoints carry no information, whatever
-their coordinates hold. The FP fit reaches the same minimizer from nearby
+solvers' tolerance. Shifting every pixel by one offset only moves the WP
+offset by it, and leaves the FP fit unchanged when the principal point moves
+with it. Zero-confidence keypoints carry no information, whatever their
+coordinates hold. The FP fit reaches the same minimizer from nearby
 starts, and scaling every confidence with both penalty weights scales
 its cost without moving the argmin.
 """
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from kpfit import (
+    CameraIntrinsics,
     KeypointObservations,
     ShapeBasis,
     SolverOptions,
@@ -72,6 +75,27 @@ def test_permuting_keypoints_with_the_basis_leaves_the_fits(intrinsics, seed):
     fp, fp_p = solve_fp(obs, intrinsics, basis), solve_fp(obs_p, intrinsics, basis_p)
     assert_same_fp(fp_p, fp)
     assert np.max(np.abs(fp_p.depths - fp.depths[perm])) <= 1e-9 * fp.depths.max()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shifting_the_pixels_moves_only_the_offset(basis, intrinsics, seed):
+    pixels, d = noisy_scene(basis, intrinsics, 870 + seed)
+    delta = np.random.default_rng(880 + seed).uniform(-500.0, 500.0, 2)
+    obs = KeypointObservations(pixels, d)
+    shifted = KeypointObservations(pixels + delta[:, None], d)
+
+    wp, wp_s = solve_wp(obs, basis), solve_wp(shifted, basis)
+    assert abs(wp_s.s - wp.s) <= 1e-9 * wp.s
+    assert np.max(np.abs(wp_s.c - wp.c)) <= 1e-9
+    assert np.max(np.abs(wp_s.rbar - wp.rbar)) <= 1e-9
+    assert np.max(np.abs(wp_s.tbar - (wp.tbar + delta))) <= 1e-8
+
+    moved = CameraIntrinsics(
+        intrinsics.fx, intrinsics.fy, intrinsics.cx + delta[0], intrinsics.cy + delta[1]
+    )
+    fp, fp_s = solve_fp(obs, intrinsics, basis), solve_fp(shifted, moved, basis)
+    assert_same_fp(fp_s, fp)
+    assert fp_s.iterations == fp.iterations
 
 
 @pytest.mark.parametrize("seed", range(8))

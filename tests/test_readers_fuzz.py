@@ -4,7 +4,9 @@ Each example starts from a valid file of one format and applies up to four
 edits. An edit replaces a short byte range, or overwrites as many bytes as it
 writes so that a binary layout stays intact, with a token that is likely to
 reach a deeper check (a non-finite or negative number, a word, bytes that are
-not UTF-8, a binary32 NaN) or with arbitrary bytes.
+not UTF-8, a binary32 NaN) or with arbitrary bytes. A whole file of
+arbitrary bytes, alone or after a valid first line (the 16-byte header of a
+heatmap file), must fail the same way.
 """
 
 import struct
@@ -102,6 +104,34 @@ def test_mutated_file_raises_only_format_error(tmp_path, kind, edits):
         start = int(where * len(data))
         data[start : start + (len(token) if length is None else length)] = token
     path.write_bytes(bytes(data))
+    try:
+        READERS[kind](path)
+    except FormatError:
+        pass
+
+
+def first_line(kind, data):
+    """The first line of a valid file, newline included; a heatmap file's
+    binary header stands in for it."""
+    return data[:16] if kind == "heatmaps" else data[: data.index(b"\n") + 1]
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(after_first_line=st.booleans(), tail=st.binary(max_size=200))
+def test_arbitrary_file_raises_only_format_error(tmp_path, kind, after_first_line, tail):
+    path = tmp_path / kind
+    head = b""
+    if after_first_line:
+        write_valid(kind, path)
+        head = first_line(kind, path.read_bytes())
+    path.write_bytes(head + tail)
     try:
         READERS[kind](path)
     except FormatError:

@@ -829,7 +829,7 @@ class TestFloatRelaxation:
     def test_prox_at_zero_threshold_returns_the_input(self):
         y = np.random.default_rng(710).normal(size=(2, 3))
         new, top = assert_prox_matches_reference(y, 0.0)
-        assert np.array_equal(new, y)
+        assert np.max(np.abs(new - y)) <= 2e-15 * np.linalg.norm(y)
         assert top == pytest.approx(np.linalg.svd(y, compute_uv=False)[0], rel=1e-14)
 
     def test_prox_of_rank_one_input(self):
@@ -1037,20 +1037,28 @@ class TestFloatRelaxation:
             assert len(convex_init(moments, mu)) == 2
 
     def test_relaxation_makes_one_svd(self, basis, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
+        # one SVD factors M, and each proximal step of the fallback takes one;
+        # the Newton steps take none
+        calls, steps = [], []
+        svd, prox = np.linalg.svd, wp_solver._prox_spectral
 
         def counting(*args, **kwargs):
             calls.append(1)
             return svd(*args, **kwargs)
 
+        def counting_prox(*args):
+            steps.append(1)
+            return prox(*args)
+
         monkeypatch.setattr(np.linalg, "svd", counting)
+        monkeypatch.setattr(wp_solver, "_prox_spectral", counting_prox)
         for seed in range(5):
             obs, _ = make_wp_obs(basis, 740 + seed)
             moments = wp_moments(obs, basis.b0)
             calls.clear()
+            steps.clear()
             convex_init(moments, mu=1e-3)
-            assert len(calls) == 1
+            assert len(calls) == 1 + len(steps)
 
 
 def make_estimate(cost, plus_z):
